@@ -89,24 +89,18 @@ Result<BudgetDecision> BudgetLedger::ChargeMany(const std::string& consumer,
   decision.budget = budget_;
   decision.current_level =
       account.independent_level * account.chained_level;
-  // Fold the k releases one at a time — the identical left-fold k
-  // sequential Charge calls would run, so an admitted ChargeMany leaves
-  // the account bit-identical to k admitted Charges.
-  Account folding = account;
-  FoldedLevels folded{account.independent_level, account.chained_level};
-  for (uint64_t j = 0; j < k; ++j) {
-    GEOPRIV_ASSIGN_OR_RETURN(folded,
-                             Fold(folding, alpha, /*chained=*/false));
-    folding.independent_level = folded.independent;
-    folding.chained_level = folded.chained;
-  }
-  decision.composed_level = folded.independent * folded.chained;
+  // Fold the k releases one product at a time: the identical left-fold k
+  // sequential Charge calls run (Fold's ComposeSequential({level, alpha})
+  // is exactly level * alpha for levels in [0, 1]), so an admitted
+  // ChargeMany leaves the account bit-identical to k admitted Charges.
+  double independent = account.independent_level;
+  for (uint64_t j = 0; j < k; ++j) independent *= alpha;
+  decision.composed_level = independent * account.chained_level;
   decision.allowed = decision.composed_level >= budget_;
   if (decision.allowed) {
     Account& stored =
         it == accounts_.end() ? accounts_[consumer] : it->second;
-    stored.independent_level = folded.independent;
-    stored.chained_level = folded.chained;
+    stored.independent_level = independent;
     stored.independent_releases += k;
   }
   return decision;
@@ -137,6 +131,26 @@ uint64_t BudgetLedger::Releases(const std::string& consumer) const {
   auto it = accounts_.find(consumer);
   if (it == accounts_.end()) return 0;
   return it->second.independent_releases + it->second.chained_releases;
+}
+
+size_t BudgetLedger::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return accounts_.size();
+}
+
+BudgetLedger::AccountSnapshot BudgetLedger::Get(
+    const std::string& consumer) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  AccountSnapshot out;
+  out.consumer = consumer;
+  auto it = accounts_.find(consumer);
+  if (it != accounts_.end()) {
+    out.independent_level = it->second.independent_level;
+    out.independent_releases = it->second.independent_releases;
+    out.chained_level = it->second.chained_level;
+    out.chained_releases = it->second.chained_releases;
+  }
+  return out;
 }
 
 std::vector<BudgetLedger::AccountSnapshot> BudgetLedger::Snapshot() const {

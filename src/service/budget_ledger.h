@@ -93,6 +93,13 @@ class BudgetLedger {
     uint64_t chained_releases = 0;
   };
 
+  /// Number of consumers with an account (O(1); no snapshot copy).
+  size_t size() const;
+
+  /// One consumer's account (the fresh-account state when unknown) — the
+  /// absolute state a ledger journal record carries.
+  AccountSnapshot Get(const std::string& consumer) const;
+
   /// Every account, sorted by consumer name (deterministic files).  The
   /// daemon persists this next to the solve cache so spent budget
   /// survives restarts — otherwise the floor would reset with the process

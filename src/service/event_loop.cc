@@ -412,6 +412,13 @@ struct Connection {
   bool doomed = false;   // hard drop (transport/fault failure); no flush owed
   bool oversized = false;  // unterminated line exceeded the cap; error owed
   uint32_t interest = 0;  // mask currently registered with the poller
+  /// Replies held until the wakeup's ledger sync: inline replies carrying
+  /// a charge, plus every reply queued behind one (per-connection order).
+  struct Held {
+    std::string response;
+    bool charged = false;
+  };
+  std::vector<Held> held;
 };
 
 // RAII for a POSIX fd.
@@ -493,6 +500,7 @@ class EventLoopServer {
       for (Completion& done : executor.DrainCompletions()) {
         HandleCompletion(done);
       }
+      ReleaseHeld();
       if (wheel_ != nullptr) {
         expired.clear();
         wheel_->Expire(NowMs(), &expired);
@@ -805,10 +813,49 @@ class EventLoopServer {
     // The flag makes the failure mode a transient Unavailable shed (the
     // client's retry re-classifies — now a miss — and routes through the
     // executor) instead of a cold solve stalling the I/O thread.
-    QueueResponse(conn,
-                  service_.HandleRequest(*request, &conn.window, &shutdown,
-                                         /*cached_only=*/true));
+    //
+    // The ledger sync is deferred: a charged reply is held until
+    // ReleaseHeld's one sync for the whole wakeup has returned.
+    uint64_t unsynced = 0;
+    std::string response =
+        service_.HandleRequest(*request, &conn.window, &shutdown,
+                               /*cached_only=*/true, &unsynced);
+    if (unsynced != 0) {
+      Hold(conn, std::move(response), /*charged=*/true);
+      unsynced_ = std::max(unsynced_, unsynced);
+    } else {
+      QueueResponse(conn, response);
+    }
     if (shutdown) BeginDrain();
+  }
+
+  void Hold(Connection& conn, std::string response, bool charged) {
+    if (conn.held.empty()) held_fds_.push_back(conn.fd);
+    conn.held.push_back({std::move(response), charged});
+  }
+
+  /// Group commit for the inline path: one ledger sync covers every
+  /// charged reply of this wakeup, and only then are they sent.  If the
+  /// sync fails, the charged replies are withheld with the same "persist"
+  /// error the executor path returns.
+  void ReleaseHeld() {
+    if (held_fds_.empty()) return;
+    const Status synced = service_.SyncLedger(unsynced_);
+    unsynced_ = 0;
+    std::vector<int> fds = std::move(held_fds_);
+    held_fds_.clear();
+    for (int fd : fds) {
+      Connection* conn = FindConn(fd);
+      if (conn == nullptr) continue;
+      std::vector<Connection::Held> held = std::move(conn->held);
+      conn->held.clear();
+      for (const Connection::Held& h : held) {
+        QueueResponse(*conn, synced.ok() || !h.charged
+                                 ? h.response
+                                 : FormatErrorReply("persist", synced));
+      }
+      Maintain(fd);
+    }
   }
 
   /// True when the request may run a solve: a query (or batch_end) whose
@@ -901,6 +948,10 @@ class EventLoopServer {
 
   void QueueResponse(Connection& conn, const std::string& response) {
     if (response.empty()) return;
+    if (!conn.held.empty()) {
+      Hold(conn, response, /*charged=*/false);  // stays behind held replies
+      return;
+    }
     conn.outbox += response;
     conn.outbox += '\n';
     if (!FlushOutbox(conn)) conn.doomed = true;
@@ -953,7 +1004,7 @@ class EventLoopServer {
       SetInterest(conn, conn.outbox.empty() ? 0u : Poller::kWrite);
       return;
     }
-    const bool flushed = conn.outbox.empty();
+    const bool flushed = conn.outbox.empty() && conn.held.empty();
     if (conn.doomed || (conn.closing && flushed)) {
       poller_.Remove(fd);
       if (wheel_ != nullptr) wheel_->Cancel(fd);
@@ -966,7 +1017,7 @@ class EventLoopServer {
     if (!conn.closing && !conn.eof && !conn.oversized && !draining_) {
       mask |= Poller::kRead;
     }
-    if (!flushed) mask |= Poller::kWrite;
+    if (!conn.outbox.empty()) mask |= Poller::kWrite;
     SetInterest(conn, mask);
   }
 
@@ -1012,6 +1063,8 @@ class EventLoopServer {
   Executor* executor_ = nullptr;
   std::unordered_map<int, std::unique_ptr<Connection>> conns_;
   bool draining_ = false;
+  std::vector<int> held_fds_;  ///< connections with held replies
+  uint64_t unsynced_ = 0;      ///< ledger ticket the held replies wait on
 };
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/geometric.h"
 #include "core/io.h"
 #include "core/optimal_exact.h"
+#include "util/durable_file.h"
 #include "util/fault_injection.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -425,107 +426,52 @@ MechanismCache::Stats MechanismCache::GetStats() const {
 Status MechanismCache::PersistEntryFiles(const std::string& dir,
                                          const ServedMechanism& entry,
                                          const std::string& serialized) const {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create '" + dir + "': " + ec.message());
-  }
   const MechanismSignature& sig = entry.signature;
   const std::string key = sig.CanonicalKey();
   const std::string stem = HashStem(sig);
-  // Write-then-rename: a crash mid-write must never leave a torn file
-  // where the loader expects a committed one — torn bytes live only in
-  // "*.tmp", which the next start sweeps.
-  const std::string path = (fs::path(dir) / (stem + ".entry")).string();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "'");
-    out << kEntryHeader << "\n"
-        << "key " << key << "\n"
-        << "mode " << ServeModeName(sig.mode) << "\n"
-        << "n " << sig.n << "\n"
-        << "lo " << sig.lo << "\n"
-        << "hi " << sig.hi << "\n"
-        << "loss " << sig.loss << "\n"
-        << "alpha " << sig.alpha.ToString() << "\n";
-    // Crash point between the header and the matrix: an abort here leaves
-    // a torn tmp file on disk — which the next start must sweep, never
-    // load (the flush pins the torn bytes so the harness exercises a real
-    // partial write, not an empty file).
-    out.flush();
-    GEOPRIV_INJECT_FAULT("cache.entry.write");
-    out << serialized;
-    out.flush();
-    if (!out) return Status::Internal("write to '" + tmp + "' failed");
-  }
-  // Crash point between a complete tmp and the publishing rename: the
-  // previous version of the entry (or its absence) must survive intact.
-  GEOPRIV_INJECT_FAULT("cache.entry.rename");
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename '" + tmp + "': " + ec.message());
-  }
+  // Write-then-rename with fsyncs (util/durable_file.h): a crash or power
+  // loss mid-write must never leave a torn file where the loader expects
+  // a committed one — torn bytes live only in "*.tmp", which the next
+  // start sweeps.  The write fault fires between the header and the
+  // matrix, so an abort there leaves a genuinely torn tmp file; the
+  // rename fault between a complete tmp and the publishing rename, where
+  // the previous version of the entry (or its absence) must survive.
+  std::ostringstream header;
+  header << kEntryHeader << "\n"
+         << "key " << key << "\n"
+         << "mode " << ServeModeName(sig.mode) << "\n"
+         << "n " << sig.n << "\n"
+         << "lo " << sig.lo << "\n"
+         << "hi " << sig.hi << "\n"
+         << "loss " << sig.loss << "\n"
+         << "alpha " << sig.alpha.ToString() << "\n";
+  GEOPRIV_RETURN_IF_ERROR(ReplaceFileDurably(
+      (fs::path(dir) / (stem + ".entry")).string(), header.str(), serialized,
+      "cache.entry.write", "cache.entry.rename"));
   if (entry.basis.empty()) return Status::OK();
   const std::string basis_doc = SerializeBasisDoc(key, entry.basis.basic_columns);
-  const std::string basis_path =
-      (fs::path(dir) / (stem + ".basis")).string();
-  const std::string basis_tmp = basis_path + ".tmp";
-  {
-    std::ofstream out(basis_tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + basis_tmp + "'");
-    const size_t split = basis_doc.find('\n') + 1;
-    out << basis_doc.substr(0, split);
-    out.flush();
-    GEOPRIV_INJECT_FAULT("cache.basis.write");
-    out << basis_doc.substr(split);
-    out.flush();
-    if (!out) {
-      return Status::Internal("write to '" + basis_tmp + "' failed");
-    }
-  }
-  GEOPRIV_INJECT_FAULT("cache.basis.rename");
-  fs::rename(basis_tmp, basis_path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename '" + basis_tmp +
-                            "': " + ec.message());
-  }
-  return Status::OK();
+  const size_t split = basis_doc.find('\n') + 1;
+  return ReplaceFileDurably((fs::path(dir) / (stem + ".basis")).string(),
+                            std::string_view(basis_doc).substr(0, split),
+                            std::string_view(basis_doc).substr(split),
+                            "cache.basis.write", "cache.basis.rename");
 }
 
 Status MechanismCache::WriteManifestLocked(
     const std::string& dir, const std::set<std::string>& stems) const {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create '" + dir + "': " + ec.message());
-  }
   std::string body;
   for (const std::string& stem : stems) body += "entry " + stem + "\n";
-  const std::string path = (fs::path(dir) / kManifestName).string();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "'");
-    out << kManifestHeader << "\nchecksum " << Fnv1a64Hex(body) << "\n";
-    // Crash point between the checksum and the entry lines: the torn tmp
-    // (or, if it were ever committed, the checksum mismatch) is what the
-    // loader's quarantine-and-fall-back path exists for.
-    out.flush();
-    GEOPRIV_INJECT_FAULT("cache.manifest.write");
-    out << body;
-    out.flush();
-    if (!out) return Status::Internal("write to '" + tmp + "' failed");
-  }
-  // Crash point between a complete tmp and the rename: the previous
-  // manifest stays authoritative, so files persisted after it are debris
-  // the next load removes — never resurrected entries.
-  GEOPRIV_INJECT_FAULT("cache.manifest.rename");
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename '" + tmp + "': " + ec.message());
-  }
-  return Status::OK();
+  // The write fault fires between the checksum and the entry lines: the
+  // torn tmp (or, if it were ever committed, the checksum mismatch) is
+  // what the loader's quarantine-and-fall-back path exists for.  At the
+  // rename fault the previous manifest stays authoritative, so files
+  // persisted after it are debris the next load removes — never
+  // resurrected entries.
+  const std::string header = std::string(kManifestHeader) + "\nchecksum " +
+                             Fnv1a64Hex(body) + "\n";
+  return ReplaceFileDurably((fs::path(dir) / kManifestName).string(), header,
+                            body, "cache.manifest.write",
+                            "cache.manifest.rename");
 }
 
 void MechanismCache::ManifestAdd(const std::string& stem) {
@@ -990,12 +936,15 @@ Result<MechanismCache::LoadReport> MechanismCache::LoadFromDirectory(
 
   // Rewrite the manifest to exactly the set being served, so quarantined
   // and skipped stems stop being listed and an adopted pre-manifest store
-  // becomes a manifested one.
+  // becomes a manifested one.  A clean restart — the committed manifest
+  // already lists exactly that set — keeps its file and skips the fsyncs.
   {
     std::lock_guard<std::mutex> lock(maintenance_mu_);
     manifest_stems_.insert(adopted.begin(), adopted.end());
-    const Status written = WriteManifestLocked(dir, manifest_stems_);
-    (void)written;  // best effort; the files themselves are committed
+    if (adopt_all || manifest_stems_ != live) {
+      const Status written = WriteManifestLocked(dir, manifest_stems_);
+      (void)written;  // best effort; the files themselves are committed
+    }
   }
   MaybeEvict();
   return report;

@@ -79,8 +79,8 @@ struct ServiceReply {
   /// "hit" | "warm" | "cold" | "skipped" | "shed" | "none"
   const char* cache = "none";
   int lp_iterations = 0;
-  /// True when the ledger recorded this release (the service only
-  /// rewrites the persisted ledger when some reply in the batch charged).
+  /// True when the ledger recorded this release (the service journals
+  /// the batch's charged accounts, and only those).
   bool charged = false;
   /// Nonzero on shed replies (status Unavailable): the client should back
   /// off at least this long before retrying.
@@ -96,7 +96,7 @@ struct ServiceReply {
   /// Transport spans, filled by the serving layer (not the pipeline):
   int64_t trace_parse_us = 0;    ///< request line parse + validation
   int64_t trace_queue_us = 0;    ///< event-loop executor queue wait
-  int64_t trace_persist_us = 0;  ///< ledger rewrite after the batch
+  int64_t trace_persist_us = 0;  ///< ledger journal append (+ sync)
 };
 
 /// Pipeline tuning; all defaults preserve the historical behavior.

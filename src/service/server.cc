@@ -4,11 +4,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include <arpa/inet.h>
@@ -112,171 +109,22 @@ MechanismService::MechanismService(ServiceOptions options)
                 PipelineOptions{options_.threads, /*max_batch_solves=*/0,
                                 options_.cached_only, options_.retry_after_ms,
                                 options_.default_deadline_ms,
-                                /*time_stages=*/options_.slow_query_ms > 0}) {}
-
-namespace {
-
-constexpr char kLedgerFile[] = "ledger.jsonl";
-constexpr char kLedgerHeader[] = "geopriv-ledger v1";
-
-// The ledger persists as JSONL through the same flat-JSON code path the
-// wire protocol uses: a header line, then one line per consumer with the
-// running composition aggregates.  Spent budget MUST survive restarts —
-// a floor that resets with the process would admit unbounded cumulative
-// epsilon across restarts — so the service rewrites this small file after
-// every batch that may have charged, not only at graceful shutdown.
-std::string SerializeLedger(const BudgetLedger& ledger) {
-  std::string out =
-      std::string("{\"ledger\":\"") + kLedgerHeader + "\"}\n";
-  char buf[64];
-  for (const BudgetLedger::AccountSnapshot& account : ledger.Snapshot()) {
-    out += "{\"consumer\":\"" + JsonEscape(account.consumer) + "\"";
-    std::snprintf(buf, sizeof(buf), ",\"level\":%.17g",
-                  account.independent_level);
-    out += buf;
-    out += ",\"releases\":" + std::to_string(account.independent_releases);
-    std::snprintf(buf, sizeof(buf), ",\"chained_level\":%.17g",
-                  account.chained_level);
-    out += buf;
-    out += ",\"chained_releases\":" +
-           std::to_string(account.chained_releases) + "}\n";
-  }
-  return out;
-}
-
-Status ParseLedger(std::istream& in, BudgetLedger* ledger) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty ledger file");
-  }
-  GEOPRIV_ASSIGN_OR_RETURN(JsonObject header, JsonObject::Parse(line));
-  GEOPRIV_ASSIGN_OR_RETURN(std::string version, header.GetString("ledger"));
-  if (version != kLedgerHeader) {
-    return Status::InvalidArgument("unknown ledger version '" + version +
-                                   "'");
-  }
-  std::vector<BudgetLedger::AccountSnapshot> accounts;
-  std::unordered_map<std::string, size_t> index;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    // A torn/unparseable line is a hard error, never skipped: this file is
-    // the budget floor's memory, and guessing at damaged accounting could
-    // only err toward admitting releases the floor should refuse.
-    GEOPRIV_ASSIGN_OR_RETURN(JsonObject object, JsonObject::Parse(line));
-    BudgetLedger::AccountSnapshot account;
-    GEOPRIV_ASSIGN_OR_RETURN(account.consumer,
-                             object.GetString("consumer"));
-    GEOPRIV_ASSIGN_OR_RETURN(account.independent_level,
-                             object.GetDouble("level"));
-    GEOPRIV_ASSIGN_OR_RETURN(int64_t releases, object.GetInt("releases"));
-    GEOPRIV_ASSIGN_OR_RETURN(account.chained_level,
-                             object.GetDouble("chained_level"));
-    GEOPRIV_ASSIGN_OR_RETURN(int64_t chained_releases,
-                             object.GetInt("chained_releases"));
-    if (releases < 0 || chained_releases < 0) {
-      return Status::InvalidArgument("negative release count for consumer '" +
-                                     account.consumer + "'");
-    }
-    account.independent_releases = static_cast<uint64_t>(releases);
-    account.chained_releases = static_cast<uint64_t>(chained_releases);
-    // Duplicated consumer lines (a crash replayed into a concatenation, a
-    // hand-merged file) keep the MOST-charged view of every field: levels
-    // only fall and release counts only rise as budget is spent, so min
-    // level / max count can over-charge but never under-charge — the only
-    // safe direction for a privacy floor.
-    auto [it, inserted] = index.emplace(account.consumer, accounts.size());
-    if (inserted) {
-      accounts.push_back(std::move(account));
-    } else {
-      BudgetLedger::AccountSnapshot& kept = accounts[it->second];
-      kept.independent_level =
-          std::min(kept.independent_level, account.independent_level);
-      kept.independent_releases =
-          std::max(kept.independent_releases, account.independent_releases);
-      kept.chained_level =
-          std::min(kept.chained_level, account.chained_level);
-      kept.chained_releases =
-          std::max(kept.chained_releases, account.chained_releases);
-    }
-  }
-  return ledger->Restore(accounts);
-}
-
-}  // namespace
+                                /*time_stages=*/options_.slow_query_ms > 0}),
+      ledger_store_(&ledger_, options_.persist_dir) {}
 
 Result<int> MechanismService::LoadPersisted() {
   if (options_.persist_dir.empty()) return 0;
   GEOPRIV_ASSIGN_OR_RETURN(MechanismCache::LoadReport report,
                            cache_.LoadFromDirectory(options_.persist_dir));
-  const int loaded = report.loaded;
-  const std::string path = options_.persist_dir + "/" + kLedgerFile;
-  // A leftover .tmp is an uncommitted rewrite from a crash mid-persist.
-  // The batch it described never replied (replies only go out after the
-  // rename lands), so the committed file is the consistent state; the
-  // debris must go or a later crash-between-open-and-write could rename
-  // stale bytes over a newer ledger.
-  std::error_code ec;
-  std::filesystem::remove(path + ".tmp", ec);
-  std::ifstream in(path);
-  if (in) {
-    Status parsed = ParseLedger(in, &ledger_);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument(path + ": " + parsed.message());
-    }
-  }
-  return loaded;
-}
-
-Status MechanismService::PersistLedger() {
-  std::lock_guard<std::mutex> lock(persist_mu_);
-  return PersistLedgerLocked();
-}
-
-Status MechanismService::PersistLedgerLocked() {
-  if (options_.persist_dir.empty()) return Status::OK();
-  std::error_code ec;
-  std::filesystem::create_directories(options_.persist_dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create '" + options_.persist_dir +
-                            "': " + ec.message());
-  }
-  // Write-then-rename: a crash mid-rewrite must leave the previous
-  // snapshot intact, never an empty/torn file that bricks the next start
-  // (whose only manual recovery — deleting the ledger — would reset every
-  // consumer's spent budget).
-  const std::string path = options_.persist_dir + "/" + kLedgerFile;
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open '" + tmp + "' for write");
-    const std::string serialized = SerializeLedger(ledger_);
-    // Two flushes straddling the fault point so "ledger.write" aborts with
-    // the tmp genuinely torn on disk (header landed, accounts did not) —
-    // the exact artifact write-then-rename exists to survive.
-    const size_t header_end = serialized.find('\n') + 1;
-    out.write(serialized.data(), static_cast<std::streamsize>(header_end));
-    out.flush();
-    GEOPRIV_INJECT_FAULT("ledger.write");
-    out.write(serialized.data() + header_end,
-              static_cast<std::streamsize>(serialized.size() - header_end));
-    out.flush();
-    if (!out) return Status::Internal("write to '" + tmp + "' failed");
-  }
-  GEOPRIV_INJECT_FAULT("ledger.rename");
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return Status::Internal("cannot rename '" + tmp + "': " + ec.message());
-  }
-  return Status::OK();
+  GEOPRIV_RETURN_IF_ERROR(ledger_store_.Load());
+  return report.loaded;
 }
 
 Status MechanismService::Persist() {
-  std::lock_guard<std::mutex> lock(persist_mu_);
-  if (options_.persist_dir.empty()) return Status::OK();
   // Cache entries are already durable: each one persisted (entry, basis,
   // manifest) when it was published.  Re-writing them here would only
-  // double the shutdown I/O, so shutdown flushes the ledger alone.
-  return PersistLedgerLocked();
+  // double the shutdown I/O, so shutdown compacts the ledger alone.
+  return ledger_store_.Compact();
 }
 
 std::string MechanismService::HandleLine(const std::string& line,
@@ -300,8 +148,10 @@ std::string MechanismService::HandleLine(const std::string& line,
 std::string MechanismService::HandleRequest(const ServiceRequest& request,
                                             BatchWindow* window,
                                             bool* shutdown,
-                                            bool cached_only) {
+                                            bool cached_only,
+                                            uint64_t* unsynced) {
   if (shutdown != nullptr) *shutdown = false;
+  if (unsynced != nullptr) *unsynced = 0;
   RecordRequestOp(request.op);
   switch (request.op) {
     case ServiceOp::kPing:
@@ -401,7 +251,7 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
       std::vector<ServiceReply> replies =
           pipeline_.ExecuteBatch(batch, cached_only);
       Stopwatch persist_watch;
-      Status persisted = PersistLedgerIfCharged(replies);
+      Status persisted = PersistCharges(batch.data(), replies, unsynced);
       if (!persisted.ok()) {
         // The charges happened but could not be made durable: withhold the
         // released values rather than risk re-admitting them after a crash.
@@ -458,7 +308,7 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
   std::vector<ServiceReply> replies =
       pipeline_.ExecuteBatch({request.query}, cached_only);
   Stopwatch persist_watch;
-  Status persisted = PersistLedgerIfCharged(replies);
+  Status persisted = PersistCharges(&request.query, replies, unsynced);
   if (!persisted.ok()) return FormatErrorReply("persist", persisted);
   ServiceReply& reply = replies.front();
   reply.trace_parse_us = request.parse_us;
@@ -472,14 +322,23 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
   return FormatQueryReply(request.query, reply);
 }
 
-Status MechanismService::PersistLedgerIfCharged(
-    const std::vector<ServiceReply>& replies) {
-  // Rejected-only batches changed no ledger state: skip the rewrite so an
-  // over-budget consumer cannot put disk I/O on the hot path.
-  for (const ServiceReply& reply : replies) {
-    if (reply.charged) return PersistLedger();
+Status MechanismService::PersistCharges(
+    const ServiceQuery* queries, const std::vector<ServiceReply>& replies,
+    uint64_t* unsynced) {
+  if (options_.persist_dir.empty()) return Status::OK();
+  std::vector<const std::string*> charged;
+  for (size_t q = 0; q < replies.size(); ++q) {
+    if (replies[q].charged) charged.push_back(&queries[q].consumer);
   }
-  return Status::OK();
+  // Rejected-only batches changed no ledger state: no disk I/O, so an
+  // over-budget consumer cannot put it on the hot path.
+  if (charged.empty()) return Status::OK();
+  GEOPRIV_ASSIGN_OR_RETURN(uint64_t ticket, ledger_store_.Append(charged));
+  if (unsynced != nullptr) {
+    *unsynced = ticket;
+    return Status::OK();
+  }
+  return ledger_store_.Sync(ticket);
 }
 
 void MechanismService::SyncMetricsLocked() {
@@ -545,7 +404,7 @@ void MechanismService::SyncMetricsLocked() {
   m.basis_warm_reloads->Set(static_cast<int64_t>(stats.basis_warm_reloads));
   m.persist_failures->Set(static_cast<int64_t>(stats.persist_failures));
   m.pending_solves->Set(static_cast<int64_t>(cache_.PendingSolves()));
-  m.ledger_consumers->Set(static_cast<int64_t>(ledger_.Snapshot().size()));
+  m.ledger_consumers->Set(static_cast<int64_t>(ledger_.size()));
 }
 
 std::string MechanismService::MetricsText() {

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "service/budget_ledger.h"
+#include "service/ledger_store.h"
 #include "service/mechanism_cache.h"
 #include "service/protocol.h"
 #include "service/query_pipeline.h"
@@ -132,8 +133,20 @@ class MechanismService {
   /// miss is shed as transient Unavailable (the client's retry re-routes
   /// through the executor) instead of cold-solving on the I/O thread —
   /// and never answered with the wrong mechanism.
+  ///
+  /// `unsynced` defers the ledger sync: when non-null, a charging
+  /// request's journal records are appended but not synced, *unsynced is
+  /// set to the ticket (0 when nothing needs syncing), and the caller
+  /// must hold the response until SyncLedger(ticket) returns OK — or
+  /// replace it with an op "persist" error if it fails.  The event loop
+  /// uses this to cover every inline reply of one wakeup with one sync.
   std::string HandleRequest(const ServiceRequest& request, BatchWindow* window,
-                            bool* shutdown, bool cached_only = false);
+                            bool* shutdown, bool cached_only = false,
+                            uint64_t* unsynced = nullptr);
+
+  /// Returns once the ledger journal holds every record up to `ticket` on
+  /// stable storage (group commit; see ledger_store.h).
+  Status SyncLedger(uint64_t ticket) { return ledger_store_.Sync(ticket); }
 
   /// Discards the default window's open batch (buffered queries are
   /// dropped uncharged).  Transports call this when a client disconnects
@@ -148,7 +161,9 @@ class MechanismService {
   /// a corrupt ledger IS fatal — it is the budget floor's memory.
   Result<int> LoadPersisted();
   /// Flushes durable state (no-op without persist_dir).  Cache entries
-  /// persist continuously at publish time, so this is the ledger rewrite.
+  /// persist continuously at publish time and charges are journaled per
+  /// batch, so this is a ledger compaction: a fresh snapshot, fsynced,
+  /// then an empty journal.
   Status Persist();
 
   MechanismCache& cache() { return cache_; }
@@ -167,16 +182,13 @@ class MechanismService {
   std::string MetricsJson();
 
  private:
-  /// Rewrites just the ledger file (cheap: one line per consumer).
-  /// Called after every batch that charged, so a crash between batches
-  /// never resets spent budget; the solve cache, which is a pure
-  /// performance artifact, still persists only at shutdown/EOF.
-  /// Serialized on persist_mu_ — concurrent sessions may both finish a
-  /// charging batch, and the write-then-rename dance must not interleave.
-  Status PersistLedger();
-  Status PersistLedgerLocked();
-  /// PersistLedger, skipped when no reply in the batch recorded a charge.
-  Status PersistLedgerIfCharged(const std::vector<ServiceReply>& replies);
+  /// Journals the accounts of every query in `queries[0..replies.size())`
+  /// whose reply recorded a charge, then syncs — or, with `unsynced`,
+  /// leaves the sync to the caller (see HandleRequest).  Rejected-only
+  /// batches touch no disk.
+  Status PersistCharges(const ServiceQuery* queries,
+                        const std::vector<ServiceReply>& replies,
+                        uint64_t* unsynced);
 
   /// Mirrors the cache/ledger aggregates into the process registry.
   /// Caller must hold the process-wide metrics sync mutex (the stats and
@@ -193,8 +205,8 @@ class MechanismService {
   MechanismCache cache_;
   BudgetLedger ledger_;
   QueryPipeline pipeline_;
+  LedgerStore ledger_store_;
   BatchWindow default_window_;
-  std::mutex persist_mu_;
   std::mutex slow_log_mu_;  ///< slow-query lines must not interleave
 };
 

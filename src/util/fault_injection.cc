@@ -30,8 +30,10 @@ constexpr const char* kCatalog[] = {
     "cache.manifest.rename",  // mechanism_cache: before tmp -> manifest
     "cache.manifest.write",   // mechanism_cache: mid-write of manifest tmp
     "io.save.write",       // core/io: before a mechanism file write
-    "ledger.rename",       // server: before renaming ledger tmp -> ledger
-    "ledger.write",        // server: mid-write of the ledger tmp file
+    "ledger.append",       // ledger_store: mid-append of a journal record
+    "ledger.fsync",        // ledger_store: journal written, before fdatasync
+    "ledger.rename",       // ledger_store: before renaming snapshot tmp
+    "ledger.write",        // ledger_store: mid-write of the snapshot tmp
     "server.accept",       // server: after accepting a TCP client
     "server.recv",         // server: before each recv on a client socket
     "server.send",         // server: before each send on a client socket

@@ -1,7 +1,7 @@
 // Fault injection: named failure points for crash/robustness testing.
 //
 // Every state-mutating path in the service (core/io writes, cache entry
-// persistence, the ledger rewrite, the server's socket calls) passes
+// persistence, the ledger journal and snapshot, the server's socket calls) passes
 // through a named fault point.  In production the registry is empty and a
 // fault point costs one relaxed atomic load — the same price as the
 // iteration-budget check in the simplex loop.  Under test, a spec string

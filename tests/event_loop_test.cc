@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <sstream>
@@ -424,6 +425,62 @@ TEST_F(EventLoopTest, SendFaultDropsOnlyThatClient) {
   ASSERT_TRUE(healthy.SendLine("{\"op\":\"ping\"}"));
   EXPECT_NE(healthy.ReadLine().find("\"op\":\"ping\",\"ok\":true"),
             std::string::npos);
+}
+
+TEST_F(EventLoopTest, InlineChargedRepliesWaitForTheLedgerSync) {
+  const std::string dir = ::testing::TempDir() + "/geopriv_eventloop_sync";
+  std::filesystem::remove_all(dir);
+  ServiceOptions options;
+  options.persist_dir = dir;
+  Start(options);
+  Client client;
+  ASSERT_TRUE(client.Connect(port_));
+  // The first batch solves on the executor; later queries are inline
+  // hits.  Its 40 accounts make the first snapshot large enough that the
+  // single charges below append to the journal instead of compacting.
+  ASSERT_TRUE(client.SendLine("{\"op\":\"batch_begin\"}"));
+  ASSERT_NE(client.ReadLine().find("\"ok\":true"), std::string::npos);
+  ASSERT_TRUE(client.SendLine(Query("alice", 1)));
+  ASSERT_NE(client.ReadLine().find("\"queued\""), std::string::npos);
+  for (int i = 0; i < 39; ++i) {
+    ASSERT_TRUE(client.SendLine(Query("pad" + std::to_string(i), i)));
+    ASSERT_NE(client.ReadLine().find("\"queued\""), std::string::npos);
+  }
+  ASSERT_TRUE(client.SendLine("{\"op\":\"batch_end\"}"));
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_NE(client.ReadLine().find("\"ok\":true"), std::string::npos);
+  }
+  ASSERT_NE(client.ReadLine().find("\"batched\":40"), std::string::npos);
+
+  // A slow fdatasync holds the inline reply for at least its duration.
+  ASSERT_TRUE(fault_injection::ArmFromSpec("ledger.fsync=delay:150").ok());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.SendLine(Query("bob", 2)));
+  EXPECT_NE(client.ReadLine().find("\"ok\":true"), std::string::npos);
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(150));
+  EXPECT_GE(fault_injection::HitCount("ledger.fsync"), 1);
+
+  // A failed sync withholds the charged reply; the ping pipelined behind
+  // it is still answered, in order.
+  ASSERT_TRUE(fault_injection::ArmFromSpec("ledger.fsync=fail").ok());
+  ASSERT_TRUE(client.Send(Query("carol", 3) + "\n{\"op\":\"ping\"}\n"));
+  EXPECT_NE(client.ReadLine().find("\"op\":\"persist\",\"ok\":false"),
+            std::string::npos);
+  EXPECT_NE(client.ReadLine().find("\"op\":\"ping\",\"ok\":true"),
+            std::string::npos);
+  fault_injection::Disarm();
+  ASSERT_TRUE(client.SendLine(Query("dave", 4)));
+  EXPECT_NE(client.ReadLine().find("\"ok\":true"), std::string::npos);
+  client.Close();
+  ShutdownAndJoin();
+
+  MechanismService reloaded(options);
+  ASSERT_TRUE(reloaded.LoadPersisted().ok());
+  for (const char* answered : {"alice", "bob", "dave"}) {
+    EXPECT_EQ(reloaded.ledger().Level(answered), 0.5) << answered;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -98,8 +98,9 @@ TEST_F(FaultInjectionTest, CatalogListsEveryRegisteredPoint) {
   for (const char* expected :
        {"cache.basis.rename", "cache.basis.write", "cache.entry.rename",
         "cache.entry.write", "cache.evict.unlink", "cache.manifest.rename",
-        "cache.manifest.write", "io.save.write", "ledger.rename",
-        "ledger.write", "server.accept", "server.recv", "server.send"}) {
+        "cache.manifest.write", "io.save.write", "ledger.append",
+        "ledger.fsync", "ledger.rename", "ledger.write", "server.accept",
+        "server.recv", "server.send"}) {
     EXPECT_NE(std::find(points.begin(), points.end(), expected),
               points.end())
         << expected;
@@ -243,23 +244,28 @@ ServiceOptions SerialPersistOptions(const std::string& dir) {
   return options;
 }
 
-// The ledger side of the acceptance harness, shared by the write- and
-// rename-point tests: the child commits one charging batch (replied to),
-// then crashes persisting the second.  After restart the ledger must
-// still hold the FIRST charge — the committed batch is never
-// under-charged — while the second, whose reply never went out, may
-// legitimately be absent.
-void LedgerCrashRoundTrip(const std::string& point) {
+// The ledger side of the acceptance harness.  The child answers one
+// charging query for alice, then crashes persisting.  After restart the
+// answered charge must still be there — a committed reply is never
+// under-charged.
+//
+// Snapshot points ("ledger.write", "ledger.rename") fire only inside a
+// compaction.  Alice's first-ever charge compacts (there is no snapshot
+// yet: hit 1 passes); bob's answered charge then only appends to the
+// journal; and the crash comes from the compaction Persist() (graceful
+// shutdown) drives.  Both answered charges survive: the journal is cut
+// only after the new snapshot is durable.
+void LedgerCompactionCrashRoundTrip(const std::string& point) {
   const std::string dir = FreshDir("geopriv_crash_" + point);
   const int status = RunForked([&] {
     ASSERT_TRUE(fi::ArmFromSpec(point + "=abort@2").ok());
     MechanismService service(SerialPersistOptions(dir));
     ASSERT_TRUE(service.LoadPersisted().ok());
     bool shutdown = false;
-    // First batch: persists (hit 1 passes) and replies.
     (void)service.HandleLine(GeometricQuery("alice", 1), &shutdown);
-    // Second batch: crashes inside PersistLedger, before any reply.
-    (void)service.HandleLine(GeometricQuery("alice", 2), &shutdown);
+    (void)service.HandleLine(GeometricQuery("bob", 2), &shutdown);
+    // Crashes inside the snapshot rewrite.
+    (void)service.Persist();
   });
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of crashing";
   ASSERT_EQ(WTERMSIG(status), SIGABRT);
@@ -267,22 +273,76 @@ void LedgerCrashRoundTrip(const std::string& point) {
   MechanismService service(SerialPersistOptions(dir));
   auto loaded = service.LoadPersisted();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Exactly the committed charge: alpha=1/2 once.  Less than 0.5 would
-  // mean the crash charged budget nobody received; more than 0.5 would
-  // mean the committed release was forgotten (the unsafe direction).
+  // Exactly the committed charges: alpha=1/2 once each.  Less than 0.5
+  // would mean the crash charged budget nobody received; more than 0.5
+  // would mean a committed release was forgotten (the unsafe direction).
   EXPECT_EQ(service.ledger().Level("alice"), 0.5);
   EXPECT_EQ(service.ledger().Releases("alice"), 1u);
+  EXPECT_EQ(service.ledger().Level("bob"), 0.5);
+  EXPECT_EQ(service.ledger().Releases("bob"), 1u);
   // LoadPersisted swept the uncommitted tmp debris.
   EXPECT_FALSE(fs::exists(dir + "/ledger.jsonl.tmp"));
   fs::remove_all(dir);
 }
 
 TEST_F(FaultInjectionTest, CrashDuringLedgerWriteNeverUnderCharges) {
-  LedgerCrashRoundTrip("ledger.write");
+  LedgerCompactionCrashRoundTrip("ledger.write");
 }
 
 TEST_F(FaultInjectionTest, CrashBeforeLedgerRenameKeepsCommittedSnapshot) {
-  LedgerCrashRoundTrip("ledger.rename");
+  LedgerCompactionCrashRoundTrip("ledger.rename");
+}
+
+// Journal points: alice's answered charge compacts (first ever), bob's
+// charge appends to the journal and crashes at `point` before his reply.
+// `bob_level`/`bob_releases` are what the restart must find for bob.
+void LedgerJournalCrashRoundTrip(const std::string& point, double bob_level,
+                                 uint64_t bob_releases) {
+  const std::string dir = FreshDir("geopriv_crash_" + point);
+  const int status = RunForked([&] {
+    ASSERT_TRUE(fi::ArmFromSpec(point + "=abort").ok());
+    MechanismService service(SerialPersistOptions(dir));
+    ASSERT_TRUE(service.LoadPersisted().ok());
+    bool shutdown = false;
+    const std::string reply =
+        service.HandleLine(GeometricQuery("alice", 1), &shutdown);
+    ASSERT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    (void)service.HandleLine(GeometricQuery("bob", 2), &shutdown);
+  });
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of crashing";
+  ASSERT_EQ(WTERMSIG(status), SIGABRT);
+
+  MechanismService service(SerialPersistOptions(dir));
+  auto loaded = service.LoadPersisted();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(service.ledger().Level("alice"), 0.5);
+  EXPECT_EQ(service.ledger().Releases("alice"), 1u);
+  EXPECT_EQ(service.ledger().Level("bob"), bob_level);
+  EXPECT_EQ(service.ledger().Releases("bob"), bob_releases);
+  // The restarted service keeps journaling behind the recovered prefix.
+  bool shutdown = false;
+  const std::string reply =
+      service.HandleLine(GeometricQuery("carol", 3), &shutdown);
+  ASSERT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+  MechanismService reloaded(SerialPersistOptions(dir));
+  ASSERT_TRUE(reloaded.LoadPersisted().ok());
+  EXPECT_EQ(reloaded.ledger().Level("alice"), 0.5);
+  EXPECT_EQ(reloaded.ledger().Level("carol"), 0.5);
+  fs::remove_all(dir);
+}
+
+TEST_F(FaultInjectionTest, CrashMidJournalAppendDropsTheUnansweredCharge) {
+  // Half of bob's record reached the file: a torn tail, dropped on load.
+  LedgerJournalCrashRoundTrip("ledger.append", 1.0, 0);
+}
+
+TEST_F(FaultInjectionTest, CrashBeforeJournalSyncNeverUnderCharges) {
+  // Bob's whole record was written but not yet synced.  A process crash
+  // leaves it in the page cache, so it replays: bob is charged for a
+  // release he never received — an over-charge, the safe direction.  (A
+  // power loss here may keep or lose it; either is safe, because the
+  // reply waits for the sync.)
+  LedgerJournalCrashRoundTrip("ledger.fsync", 0.5, 1);
 }
 
 // The cache side: entries persist at publish time (inside GetOrSolve),

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -436,6 +437,54 @@ TEST(BudgetLedgerTest, RejectedChargesCreateNoAccountState) {
   EXPECT_TRUE(ledger.Snapshot().empty());
   ASSERT_TRUE(ledger.Charge("real", 0.6).ok());
   EXPECT_EQ(ledger.Snapshot().size(), 1u);
+}
+
+TEST(BudgetLedgerTest, ChargeManyIsBitIdenticalToSequentialCharges) {
+  // ChargeMany's K-step fold must be the left fold K sequential Charge
+  // calls run: the same level under ==, the same release count — whether
+  // the K releases are admitted or refused at the floor.  Every ledger
+  // starts from a prior 0.7 charge so the fold begins off 1.0.
+  for (uint64_t k : {1u, 2u, 20u, 200u}) {
+    for (double alpha : {0.1, 0.5, 0.9, 0.999}) {
+      BudgetLedger sequential(0.0);
+      ASSERT_TRUE(sequential.Charge("c", 0.7).ok());
+      for (uint64_t j = 0; j < k; ++j) {
+        ASSERT_TRUE(sequential.Charge("c", alpha)->allowed);
+      }
+      const double folded = sequential.Level("c");
+
+      // Admitted exactly at the floor: the floor IS the K-fold level.
+      BudgetLedger at_floor(folded);
+      ASSERT_TRUE(at_floor.Charge("c", 0.7)->allowed);
+      auto admitted = at_floor.ChargeMany("c", alpha, k);
+      ASSERT_TRUE(admitted.ok());
+      EXPECT_TRUE(admitted->allowed) << "k=" << k << " alpha=" << alpha;
+      EXPECT_EQ(admitted->composed_level, folded);
+      EXPECT_EQ(at_floor.Level("c"), folded);
+      EXPECT_EQ(at_floor.Releases("c"), sequential.Releases("c"));
+
+      // Refused one ulp above it: ChargeMany reports the same K-fold level
+      // and charges nothing, exactly where the K-th sequential charge is
+      // refused.
+      const double above = std::nextafter(folded, 1.0);
+      BudgetLedger refused(above);
+      ASSERT_TRUE(refused.Charge("c", 0.7)->allowed);
+      auto rejected = refused.ChargeMany("c", alpha, k);
+      ASSERT_TRUE(rejected.ok());
+      EXPECT_FALSE(rejected->allowed) << "k=" << k << " alpha=" << alpha;
+      EXPECT_EQ(rejected->composed_level, folded);
+      EXPECT_EQ(refused.Level("c"), 0.7);
+      EXPECT_EQ(refused.Releases("c"), 1u);
+      BudgetLedger one_by_one(above);
+      ASSERT_TRUE(one_by_one.Charge("c", 0.7)->allowed);
+      for (uint64_t j = 1; j < k; ++j) {
+        ASSERT_TRUE(one_by_one.Charge("c", alpha)->allowed);
+      }
+      auto last = one_by_one.Charge("c", alpha);
+      EXPECT_FALSE(last->allowed);
+      EXPECT_EQ(last->composed_level, folded);
+    }
+  }
 }
 
 // ---- pipeline ---------------------------------------------------------------
