@@ -1,22 +1,14 @@
-// Load latency and saturation throughput of the TCP transports.
+// Load latency and saturation throughput of the TCP transport.
 //
-// Drives an in-process daemon (event loop, and the serial accept loop as
-// the baseline) with the open-loop generator from service/loadgen.h over
-// cached signatures, so the numbers isolate the transport + pipeline —
-// no LP solves on the measured path.
+// Drives an in-process event-loop daemon with the open-loop generator
+// from service/loadgen.h over cached signatures, so the numbers isolate
+// the transport + pipeline — no LP solves on the measured path.
 //
 // Two disciplines per connection count N in {1, 16, 64}:
 //   open/...    fixed Poisson offered load; p50/p99/p999 measured from
 //               each request's SCHEDULED arrival (queueing delay counts)
 //   sat/...     closed loop (depth 8 per connection); the recorded value
 //               is milliseconds per completed request (1000 / throughput)
-//
-// The serial baseline only answers one connection at a time, so its
-// N=64 saturation run measures one served connection while 63 park —
-// which is exactly the ceiling the event loop exists to remove.  The
-// suite prints the N=64 event-vs-serial speedup; the >=5x expectation is
-// advisory on single-core CI boxes, where the event loop's workers and
-// the loadgen share one core.
 
 #include <cstdio>
 #include <future>
@@ -61,11 +53,10 @@ class AnnouncedPort : public std::stringbuf {
 
 // One daemon lifetime: start, hand the port to `body`, shut down.
 template <typename Body>
-void WithServer(bool serial_accept, Body&& body) {
+void WithServer(Body&& body) {
   ServiceOptions options;
   options.threads = 2;
   options.workers = 2;
-  options.serial_accept = serial_accept;
   MechanismService service(options);
   // Prewarm the one signature the load uses: the measured path must be
   // all cache hits.
@@ -101,8 +92,8 @@ int main(int argc, char** argv) {
   const int64_t duration_ms = h.large() ? 2000 : 500;
   const int kConns[] = {1, 16, 64};
 
-  // Open-loop latency under a fixed offered load (event loop).
-  WithServer(/*serial_accept=*/false, [&](int port) {
+  // Open-loop latency under a fixed offered load.
+  WithServer([&](int port) {
     for (int n : kConns) {
       LoadOptions load = BaseLoad(port, n, duration_ms);
       load.rate = 2000.0;
@@ -123,11 +114,8 @@ int main(int argc, char** argv) {
     }
   });
 
-  // Closed-loop saturation: ms per completed request, event loop then the
-  // serial baseline.
-  double event_n64_qps = 0.0;
-  double serial_n64_qps = 0.0;
-  WithServer(/*serial_accept=*/false, [&](int port) {
+  // Closed-loop saturation: ms per completed request.
+  WithServer([&](int port) {
     for (int n : kConns) {
       LoadOptions load = BaseLoad(port, n, duration_ms);
       load.depth = 8;
@@ -136,32 +124,11 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "saturation (event) N=%d failed\n", n);
         continue;
       }
-      if (n == 64) event_n64_qps = stats->throughput_qps;
       h.Record("sat/event/N=" + std::to_string(n) + "/per_req",
                1e3 / stats->throughput_qps);
       std::printf("    (event N=%d: %.0f qps saturated)\n", n,
                   stats->throughput_qps);
     }
   });
-  WithServer(/*serial_accept=*/true, [&](int port) {
-    LoadOptions load = BaseLoad(port, 64, duration_ms);
-    load.depth = 8;
-    Result<LoadStats> stats = RunLoad(load);
-    if (stats.ok() && stats->completed > 0) {
-      serial_n64_qps = stats->throughput_qps;
-      h.Record("sat/serial/N=64/per_req", 1e3 / stats->throughput_qps);
-      std::printf("    (serial N=64: %.0f qps, one connection served)\n",
-                  stats->throughput_qps);
-    } else {
-      std::fprintf(stderr, "saturation (serial) N=64 failed\n");
-    }
-  });
-
-  if (event_n64_qps > 0.0 && serial_n64_qps > 0.0) {
-    std::printf(
-        "  event loop vs serial at N=64: %.1fx throughput "
-        "(gate >=5x, advisory on single-core)\n",
-        event_n64_qps / serial_n64_qps);
-  }
   return h.Finish();
 }

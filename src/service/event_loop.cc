@@ -20,6 +20,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -82,8 +83,7 @@ struct LoopMetrics {
 };
 
 // One protocol line is small; a client streaming unbounded bytes with no
-// newline is the same DoS class as an unbounded batch window.  Same cap as
-// the serial loop.
+// newline is the same DoS class as an unbounded batch window.
 constexpr size_t kMaxLineBytes = 1 << 20;
 
 // Executor admission bound: decoded batches queued beyond this are shed
@@ -234,7 +234,7 @@ class Poller {
 
 // ---- Idle-connection timer wheel --------------------------------------------
 //
-// Replaces the serial loop's per-client SO_RCVTIMEO: one wheel holds every
+// Replaces a per-client SO_RCVTIMEO: one wheel holds every
 // idle deadline, Arm/Cancel are O(1), and each tick only touches the due
 // bucket.  Cancellation is lazy — a bucket entry whose stored deadline no
 // longer matches the armed deadline is stale and dropped when its bucket
@@ -613,6 +613,16 @@ class EventLoopServer {
         ::close(cfd);
         continue;
       }
+      if (!http) {
+        // Each reply is complete when it is written, so send it at once.
+        // Under Nagle a reply written while the previous one is still
+        // unacknowledged waits for the client's delayed ACK (~40 ms on
+        // Linux) — the whole wire time of a pipelined release.  A
+        // metrics connection writes one response and closes, so it keeps
+        // the default.
+        const int one = 1;
+        ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
       auto conn = std::make_unique<Connection>();
       conn->fd = cfd;
       conn->http = http;
@@ -650,7 +660,7 @@ class EventLoopServer {
       if (fault_injection::Armed() &&
           !fault_injection::Fire("server.recv").ok()) {
         // Injected receive failure: the connection "died" mid-request.  A
-        // half-received line is dropped unanswered, like the serial loop.
+        // half-received line is dropped unanswered.
         conn.doomed = true;
         break;
       }
@@ -662,8 +672,7 @@ class EventLoopServer {
         // the cap as complete lines (buffered behind a busy batch), so
         // only the unterminated tail counts.  Complete lines received
         // ahead of the oversized tail are still answered — the error is
-        // queued by ProcessBuffered after they execute, like the serial
-        // loop's chunk-at-a-time ordering.
+        // queued by ProcessBuffered after they execute, in arrival order.
         const size_t last_nl = conn.inbox.rfind('\n');
         const size_t tail = last_nl == std::string::npos
                                 ? conn.inbox.size()
@@ -1028,9 +1037,8 @@ class EventLoopServer {
   }
 
   /// Graceful drain: stop accepting, let in-flight batches finish, flush
-  /// every outbox, then close.  Buffered-but-unparsed input is dropped —
-  /// exactly like the serial loop, where shutdown stopped service for
-  /// every other client immediately.
+  /// every outbox, then close.  Buffered-but-unparsed input is dropped:
+  /// shutdown stops service for every other client immediately.
   void BeginDrain() {
     if (draining_) return;
     draining_ = true;
@@ -1075,7 +1083,7 @@ Status ServeTcpEventLoop(int port, MechanismService& service,
   Status served = server.Serve(port);
   if (!served.ok()) {
     // Transport failures must not lose charged budget: persist before the
-    // error surfaces (mirrors the serial loop).
+    // error surfaces.
     (void)service.Persist();
   }
   return served;

@@ -1,14 +1,16 @@
-// Concurrent TCP transport for the mechanism service.
+// Concurrent TCP transport for the mechanism service — the daemon's one
+// TCP transport.
 //
-// The PR-4 daemon served TCP clients one at a time, so the system's
-// throughput ceiling was one connection's round-trip latency.  This event
-// loop multiplexes thousands of concurrent connections over one I/O
-// thread (epoll on Linux, poll(2) elsewhere or under GEOPRIV_FORCE_POLL=1)
-// with:
+// The event loop multiplexes thousands of concurrent connections over one
+// I/O thread (epoll on Linux, poll(2) elsewhere or under
+// GEOPRIV_FORCE_POLL=1) with:
 //
 //   - per-connection read/write buffers with partial-line reassembly
-//     (the 1 MiB request-line cap and the final-unterminated-line flush
-//     survive from the serial loop),
+//     (a 1 MiB request-line cap; a final unterminated line is answered
+//     on half-close),
+//   - TCP_NODELAY on every protocol connection: each reply is sent the
+//     moment it is written, instead of Nagle holding it until the
+//     client's delayed ACK (up to ~40 ms) acknowledges the previous one,
 //   - one BatchWindow per connection, so many batch windows can be open
 //     simultaneously (each still capped at 4096 queries),
 //   - write backpressure: a reply that does not fit the socket buffer is
@@ -27,7 +29,7 @@
 // answers Unavailable + retry_after_ms; connections are always accepted.
 //
 // The fault points `server.accept`, `server.recv` and `server.send` fire
-// at the same logical places as in the serial loop.
+// on accept, on each receive and on each outbox flush.
 
 #ifndef GEOPRIV_SERVICE_EVENT_LOOP_H_
 #define GEOPRIV_SERVICE_EVENT_LOOP_H_

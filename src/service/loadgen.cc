@@ -74,9 +74,9 @@ Result<LoadStats> RunLoad(const LoadOptions& options) {
                                    "' (dotted IPv4 only)");
   }
 
-  // Nonblocking connects, all launched up front.  Against the serial
-  // daemon most of them park in the listen backlog (or beyond it) — that
-  // is the scenario, not an error.
+  // Nonblocking connects, all launched up front.  A connection the
+  // server never accepts parks in the listen backlog; its requests stay
+  // unanswered until the drain deadline, which is not an error.
   std::vector<std::unique_ptr<LoadConn>> conns;
   conns.reserve(static_cast<size_t>(options.connections));
   for (int c = 0; c < options.connections; ++c) {

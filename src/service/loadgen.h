@@ -17,9 +17,8 @@
 // The generator is a single-threaded nonblocking poll(2) client driving
 // N concurrent connections (round-robin arrival assignment, per-connection
 // write backpressure, partial-line reassembly on replies).  Connections a
-// server never accepts or serves — the serial baseline at N=64 parks all
-// but one — are tolerated: their requests simply stay unanswered and the
-// run drains out on its deadline.
+// server never accepts or serves are tolerated: their requests simply stay
+// unanswered and the run drains out on its deadline.
 
 #ifndef GEOPRIV_SERVICE_LOADGEN_H_
 #define GEOPRIV_SERVICE_LOADGEN_H_

@@ -229,7 +229,7 @@ std::shared_ptr<const ServedMechanism> MechanismCache::Peek(
 Result<std::shared_ptr<const ServedMechanism>> MechanismCache::GetOrSolve(
     const MechanismSignature& signature, bool* was_hit, int64_t deadline_ms) {
   Shard& shard = ShardFor(signature);
-  const std::string key = signature.CanonicalKey();
+  const std::string& key = signature.CanonicalKey();
   // One deadline covers the whole call: waiting on a duplicate in-flight
   // solve, queueing on the solver mutex, and the solve's own pivots.
   const bool has_deadline = deadline_ms > 0;
@@ -427,7 +427,7 @@ Status MechanismCache::PersistEntryFiles(const std::string& dir,
                                          const ServedMechanism& entry,
                                          const std::string& serialized) const {
   const MechanismSignature& sig = entry.signature;
-  const std::string key = sig.CanonicalKey();
+  const std::string& key = sig.CanonicalKey();
   const std::string stem = HashStem(sig);
   // Write-then-rename with fsyncs (util/durable_file.h): a crash or power
   // loss mid-write must never leave a torn file where the loader expects
@@ -546,7 +546,7 @@ void MechanismCache::MaybeEvict() {
     std::lock_guard<std::mutex> lock(shards_[s].mu);
     for (const auto& [key, slot] : shards_[s].entries) {
       items.push_back(Item{slot.entry, key,
-                           slot.entry->signature.StructuralKey(),
+                           std::string(slot.entry->signature.StructuralKey()),
                            slot.last_used, slot.bytes, s});
     }
   }

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -258,27 +257,34 @@ Result<std::string> JsonObject::GetRawToken(const std::string& key) const {
   return it->second.token;
 }
 
+void AppendJsonEscaped(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char ch = static_cast<unsigned char>(text[i]);
+    if (ch >= 0x20 && ch != '"' && ch != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (ch) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default: {
+        const char escape[] = {'\\', 'u', '0', '0', kHex[ch >> 4],
+                               kHex[ch & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
 std::string JsonEscape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(ch) & 0xff);
-          out += buf;
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
+  AppendJsonEscaped(text, &out);
   return out;
 }
 
@@ -440,6 +446,16 @@ void AppendInt(Int value, std::string* out) {
   out->append(buf, end.ptr);
 }
 
+// Appends `value` exactly as printf("%.17g") spells it: to_chars with
+// chars_format::general and a precision is defined as that conversion,
+// minus the format-string parse and the locale lookup.
+void AppendDouble(double value, std::string* out) {
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value,
+                                 std::chars_format::general, 17);
+  out->append(buf, end.ptr);
+}
+
 }  // namespace
 
 void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
@@ -472,13 +488,12 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
     }
   }
   Stopwatch serialize_watch;
-  char buf[64];
   *out += "{\"op\":\"query\",\"ok\":";
   *out += reply.status.ok() ? "true" : "false";
   *out += ",\"consumer\":\"";
-  *out += JsonEscape(query.consumer);
+  AppendJsonEscaped(query.consumer, out);
   *out += "\",\"signature\":\"";
-  *out += JsonEscape(query.signature.CanonicalKey());
+  AppendJsonEscaped(query.signature.CanonicalKey(), out);
   *out += "\"";
   if (reply.status.ok()) {
     if (reply.released_values.size() > 1) {
@@ -495,22 +510,21 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
       AppendInt(reply.released, out);
     }
     *out += ",\"loss\":\"";
-    *out += JsonEscape(reply.optimal_loss.ToString());
+    AppendJsonEscaped(reply.optimal_loss.ToString(), out);
     *out += "\"";
   } else {
     *out += ",\"error\":\"";
-    *out += JsonEscape(std::string(StatusCodeToString(reply.status.code())));
+    AppendJsonEscaped(StatusCodeToString(reply.status.code()), out);
     *out += "\",\"message\":\"";
-    *out += JsonEscape(reply.status.message());
+    AppendJsonEscaped(reply.status.message(), out);
     *out += "\"";
   }
-  std::snprintf(buf, sizeof(buf), ",\"level\":%.17g", reply.level_after);
-  *out += buf;
-  std::snprintf(buf, sizeof(buf), ",\"composed_level\":%.17g",
-                reply.composed_level);
-  *out += buf;
-  std::snprintf(buf, sizeof(buf), ",\"budget\":%.17g", reply.budget);
-  *out += buf;
+  *out += ",\"level\":";
+  AppendDouble(reply.level_after, out);
+  *out += ",\"composed_level\":";
+  AppendDouble(reply.composed_level, out);
+  *out += ",\"budget\":";
+  AppendDouble(reply.budget, out);
   if (reply.retry_after_ms > 0) {
     *out += ",\"retry_after_ms\":";
     AppendInt(reply.retry_after_ms, out);

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "service/query_pipeline.h"
 #include "util/result.h"
@@ -64,6 +65,9 @@ class JsonObject {
 /// Escapes a string for embedding in a JSON response line.
 std::string JsonEscape(const std::string& text);
 
+/// JsonEscape's bytes, appended straight to `out` (no temporary string).
+void AppendJsonEscaped(std::string_view text, std::string* out);
+
 /// The service operations a request line can name.
 enum class ServiceOp {
   kQuery,
@@ -95,7 +99,7 @@ Result<ServiceRequest> ParseRequestLine(const std::string& line);
 /// Response formatting: every reply is one JSON line.
 ///
 /// AppendQueryReply is the batch-aware form: it serializes straight into
-/// `out` (integers via to_chars, no per-reply temporary strings), so a
+/// `out` (numbers via to_chars, strings escaped in place), so a
 /// batch_end response builds one reserved buffer instead of
 /// concatenating per-reply strings.  Every query reply — batched,
 /// single, or shed at the transport — passes through it, which keeps

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "rng/engine.h"
@@ -81,18 +82,19 @@ QueryPipeline::QueryPipeline(MechanismCache* cache, BudgetLedger* ledger,
 
 std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
     const std::vector<ServiceQuery>& queries) {
-  return ExecuteBatch(queries, /*cached_only_override=*/false);
+  return ExecuteBatch(queries.data(), queries.size(),
+                      /*cached_only_override=*/false);
 }
 
 std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
-    const std::vector<ServiceQuery>& queries, bool cached_only_override) {
+    const ServiceQuery* queries, size_t count, bool cached_only_override) {
   const bool cached_only = options_.cached_only || cached_only_override;
-  std::vector<ServiceReply> replies(queries.size());
+  std::vector<ServiceReply> replies(count);
 
   const PipelineMetrics& pm = PipelineMetrics::Get();
-  pm.batch_size->Observe(static_cast<int64_t>(queries.size()));
+  pm.batch_size->Observe(static_cast<int64_t>(count));
   bool any_trace = false;
-  for (const ServiceQuery& query : queries) any_trace |= query.trace;
+  for (size_t q = 0; q < count; ++q) any_trace |= queries[q].trace;
   // Time the stages for traced batches and a 1-in-64 sample of the rest.
   static std::atomic<uint64_t> batch_counter{0};
   const bool timed =
@@ -105,20 +107,21 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
   int64_t sample_us = 0;
 
   // Stage 1 — group by canonical signature and resolve each group through
-  // the cache once.  std::map keeps group iteration deterministic.
+  // the cache once.  std::map keeps group iteration deterministic; its
+  // keys view the queries' own canonical keys, which outlive the batch.
   struct Group {
     std::shared_ptr<const ServedMechanism> entry;
     Status status = Status::OK();
     const char* cache = "none";
     std::vector<size_t> members;
   };
-  std::map<std::string, Group> groups;
-  for (size_t q = 0; q < queries.size(); ++q) {
+  std::map<std::string_view, Group> groups;
+  for (size_t q = 0; q < count; ++q) {
     groups[queries[q].signature.CanonicalKey()].members.push_back(q);
   }
   // Per-query group pointers (map nodes are stable): the later stages
-  // never rebuild a canonical key or re-search the map.
-  std::vector<const Group*> group_of(queries.size());
+  // never re-search the map.
+  std::vector<const Group*> group_of(count);
   for (auto& [key, group] : groups) {
     for (size_t q : group.members) group_of[q] = &group;
   }
@@ -129,25 +132,25 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
   // The order is deterministic (structure, then exact alpha compare, then
   // canonical key) and only affects solve cost, never results: replies are
   // keyed by query index and charging below stays in input order.
-  std::vector<std::pair<const std::string*, Group*>> solve_order;
+  std::vector<std::pair<std::string_view, Group*>> solve_order;
   solve_order.reserve(groups.size());
-  for (auto& [key, group] : groups) solve_order.push_back({&key, &group});
+  for (auto& [key, group] : groups) solve_order.push_back({key, &group});
   std::sort(solve_order.begin(), solve_order.end(),
             [&](const auto& a, const auto& b) {
               const MechanismSignature& sa =
                   queries[a.second->members.front()].signature;
               const MechanismSignature& sb =
                   queries[b.second->members.front()].signature;
-              const std::string ka = sa.StructuralKey();
-              const std::string kb = sb.StructuralKey();
+              const std::string_view ka = sa.StructuralKey();
+              const std::string_view kb = sb.StructuralKey();
               if (ka != kb) return ka < kb;
               const int cmp = sa.alpha.Compare(sb.alpha);
               if (cmp != 0) return cmp < 0;
-              return *a.first < *b.first;
+              return a.first < b.first;
             });
   size_t batch_solves = 0;
   if (timed) stage_watch.Reset();
-  for (auto& [key_ptr, group_ptr] : solve_order) {
+  for (auto& [key, group_ptr] : solve_order) {
     Group& group = *group_ptr;
     const ServiceQuery& first = queries[group.members.front()];
     // Already-solved signatures are served to everyone: a lookup is free.
@@ -234,8 +237,8 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
   // later ones see, exactly as if they had arrived one by one).
   int64_t charges = 0;
   int64_t rejections = 0;
-  std::vector<const ServedMechanism*> admitted(queries.size(), nullptr);
-  for (size_t q = 0; q < queries.size(); ++q) {
+  std::vector<const ServedMechanism*> admitted(count, nullptr);
+  for (size_t q = 0; q < count; ++q) {
     const ServiceQuery& query = queries[q];
     ServiceReply& reply = replies[q];
     if (ledger_ != nullptr) reply.budget = ledger_->budget();
@@ -320,7 +323,7 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
     reply.released = draws[0];
     if (reps > 1) reply.released_values.assign(draws, draws + reps);
   };
-  if (queries.size() == 1) {
+  if (count == 1) {
     // Single-query fast path: a one-lane batch gains nothing from the
     // columnar decode, and the ~0.8us cached hot path must not pay for
     // the row-group scaffolding.  This IS the scalar oracle: one stream,
@@ -429,7 +432,7 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
   if (timed) sample_us = static_cast<int64_t>(stage_watch.ElapsedMicros());
 
   int64_t samples = 0;
-  for (size_t q = 0; q < queries.size(); ++q) {
+  for (size_t q = 0; q < count; ++q) {
     if (admitted[q] != nullptr && replies[q].status.ok()) {
       samples += std::max(1, queries[q].samples);
     }
@@ -450,7 +453,7 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
     // Spans land in every reply (the slow-query log reads them even for
     // untraced queries); the `traced` flag — which puts them on the wire —
     // follows the request's own ask.
-    for (size_t q = 0; q < queries.size(); ++q) {
+    for (size_t q = 0; q < count; ++q) {
       replies[q].traced = queries[q].trace;
       replies[q].trace_solve_us = solve_us;
       replies[q].trace_charge_us = charge_us;

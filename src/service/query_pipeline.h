@@ -148,15 +148,18 @@ class QueryPipeline {
   std::vector<ServiceReply> ExecuteBatch(
       const std::vector<ServiceQuery>& queries);
 
-  /// Same, with a per-call cached-only override (effective mode is
+  /// Same, over `count` queries starting at `queries` (the transport's
+  /// single-query path executes its parsed query uncopied), with a
+  /// per-call cached-only override (effective mode is
   /// options().cached_only || cached_only_override).  The event loop sets
   /// the override when executing work it classified as fully cached on
   /// the I/O thread: if an entry was evicted between classification and
   /// execution, the miss is shed as transient Unavailable — the client's
   /// retry re-routes through the executor — instead of cold-solving
   /// inline or stalling the loop.
-  std::vector<ServiceReply> ExecuteBatch(
-      const std::vector<ServiceQuery>& queries, bool cached_only_override);
+  std::vector<ServiceReply> ExecuteBatch(const ServiceQuery* queries,
+                                         size_t count,
+                                         bool cached_only_override);
 
  private:
   MechanismCache* cache_;

@@ -1,7 +1,6 @@
 #include "service/server.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "rng/engine.h"
@@ -249,7 +247,7 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
       window->pending.clear();
       Stopwatch handle_watch;
       std::vector<ServiceReply> replies =
-          pipeline_.ExecuteBatch(batch, cached_only);
+          pipeline_.ExecuteBatch(batch.data(), batch.size(), cached_only);
       Stopwatch persist_watch;
       Status persisted = PersistCharges(batch.data(), replies, unsynced);
       if (!persisted.ok()) {
@@ -306,7 +304,7 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
   }
   Stopwatch handle_watch;
   std::vector<ServiceReply> replies =
-      pipeline_.ExecuteBatch({request.query}, cached_only);
+      pipeline_.ExecuteBatch(&request.query, 1, cached_only);
   Stopwatch persist_watch;
   Status persisted = PersistCharges(&request.query, replies, unsynced);
   if (!persisted.ok()) return FormatErrorReply("persist", persisted);
@@ -511,128 +509,7 @@ Status SendAll(int fd, const std::string& data) {
 }  // namespace
 
 Status ServeTcp(int port, MechanismService& service, std::ostream& announce) {
-  if (service.options().serial_accept) {
-    return ServeTcpSerial(port, service, announce);
-  }
   return ServeTcpEventLoop(port, service, announce);
-}
-
-Status ServeTcpSerial(int port, MechanismService& service,
-                      std::ostream& announce) {
-  // Transport failures must not lose charged budget: persist before every
-  // error return (the per-batch ledger writes cover the common case; this
-  // covers the solve cache too).
-  const auto fail = [&service](Status status) {
-    (void)service.Persist();
-    return status;
-  };
-  Fd server;
-  server.fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (server.fd < 0) return Status::Internal("socket() failed");
-  const int one = 1;
-  ::setsockopt(server.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(server.fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Status::Internal("bind to 127.0.0.1:" + std::to_string(port) +
-                            " failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(server.fd, reinterpret_cast<sockaddr*>(&addr), &len) !=
-      0) {
-    return Status::Internal("getsockname failed");
-  }
-  const int bound_port = ntohs(addr.sin_port);
-  if (::listen(server.fd, 16) != 0) return Status::Internal("listen failed");
-  announce << "geopriv_serve listening on 127.0.0.1:" << bound_port << "\n"
-           << std::flush;
-
-  bool shutdown = false;
-  while (!shutdown) {
-    Fd client;
-    client.fd = ::accept(server.fd, nullptr, nullptr);
-    if (client.fd < 0) {
-      // Transient per-connection failures (a client aborting between the
-      // handshake and our accept) must not take the daemon down.
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      return fail(Status::Internal("accept failed"));
-    }
-    if (fault_injection::Armed()) {
-      // An injected accept failure plays the client that aborted right
-      // after the handshake: this connection is dropped, the daemon lives.
-      if (!fault_injection::Fire("server.accept").ok()) continue;
-    }
-    // Idle clients must not pin the single-threaded accept loop forever:
-    // with a timeout configured, a connection that sends nothing for that
-    // long is dropped (recv fails with EAGAIN below) and the daemon moves
-    // on to the next accept.
-    const int64_t idle_ms = service.options().idle_timeout_ms;
-    if (idle_ms > 0) {
-      timeval tv{};
-      tv.tv_sec = static_cast<time_t>(idle_ms / 1000);
-      tv.tv_usec = static_cast<suseconds_t>((idle_ms % 1000) * 1000);
-      ::setsockopt(client.fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    }
-    // A send failure likewise drops only this client, never the daemon.
-    bool client_alive = true;
-    const auto respond = [&](const std::string& line) {
-      const std::string response = service.HandleLine(line, &shutdown);
-      if (!response.empty()) {
-        client_alive = SendAll(client.fd, response + "\n").ok();
-      }
-    };
-    // One protocol line is small; a client streaming unbounded bytes with
-    // no newline is the same DoS class as an unbounded batch window.
-    constexpr size_t kMaxLineBytes = 1 << 20;
-    std::string buffer;
-    char chunk[4096];
-    while (client_alive && !shutdown) {
-      if (fault_injection::Armed() &&
-          !fault_injection::Fire("server.recv").ok()) {
-        // Injected receive failure: the connection "died" mid-request.
-        client_alive = false;
-        break;
-      }
-      const ssize_t k = ::recv(client.fd, chunk, sizeof(chunk), 0);
-      if (k < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        // Idle timeout fired.  Drop without answering: a half-received
-        // line is not a request, and the client stopped talking.
-        client_alive = false;
-        break;
-      }
-      if (k <= 0) break;  // client closed its write side (or error)
-      buffer.append(chunk, static_cast<size_t>(k));
-      if (buffer.size() > kMaxLineBytes &&
-          buffer.find('\n') == std::string::npos) {
-        (void)SendAll(client.fd,
-                      FormatErrorReply(
-                          "parse", Status::InvalidArgument(
-                                       "request line exceeds 1 MiB")) +
-                          "\n");
-        client_alive = false;
-        break;
-      }
-      size_t newline;
-      while (client_alive && !shutdown &&
-             (newline = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
-        respond(line);
-      }
-    }
-    // A client that half-closes without a trailing newline still sent a
-    // complete request; answer it before dropping the connection.
-    if (client_alive && !shutdown && !buffer.empty()) respond(buffer);
-    // Whatever batch window the client left open dies with it: the next
-    // client must neither inherit queueing mode nor be able to flush (and
-    // budget-charge) a stranger's buffered queries.
-    service.ResetBatch();
-  }
-  return service.Persist();
 }
 
 Result<std::string> TcpRequest(const std::string& host, int port,

@@ -75,14 +75,10 @@ struct ServiceOptions {
   /// cached-signature traffic on other connections.  0 picks a small
   /// default (2, or more when the hardware has cores to spare).
   int workers = 0;
-  /// Serve TCP with the historical one-client-at-a-time accept loop
-  /// instead of the event loop — the baseline the load bench compares
-  /// against, and an escape hatch if the event loop misbehaves.
-  bool serial_accept = false;
   /// Loopback HTTP metrics endpoint: the event loop additionally listens
   /// on 127.0.0.1:metrics_port and answers GET /metrics with the
   /// Prometheus text exposition.  0 picks a free port; -1 (default)
-  /// disables the listener.  Ignored by the serial transport.
+  /// disables the listener.
   int metrics_port = -1;
   /// Slow-query log: a query whose end-to-end handling (parse + queue +
   /// pipeline + persist) takes at least this long is logged as one JSONL
@@ -218,20 +214,13 @@ Status RunServeLoop(std::istream& in, std::ostream& out,
                     MechanismService& service);
 
 /// Serves the same protocol over TCP on 127.0.0.1:`port` (0 picks a free
-/// port).  Announces "geopriv_serve listening on 127.0.0.1:<port>" on
-/// `announce` before accepting.  By default this is the concurrent
-/// event-loop transport (event_loop.h: epoll with a poll fallback,
-/// per-connection batch windows, write backpressure, idle timer wheel,
-/// graceful drain); ServiceOptions::serial_accept selects the historical
-/// one-client-at-a-time loop.  Returns after a shutdown request
-/// (persisting when configured).
+/// port) with the concurrent event-loop transport (event_loop.h: epoll
+/// with a poll fallback, per-connection batch windows, write
+/// backpressure, idle timer wheel, graceful drain, TCP_NODELAY replies).
+/// Announces "geopriv_serve listening on 127.0.0.1:<port>" on `announce`
+/// before accepting.  Returns after a shutdown request (persisting when
+/// configured).
 Status ServeTcp(int port, MechanismService& service, std::ostream& announce);
-
-/// The historical serial accept loop: clients served one at a time, each
-/// to completion.  Kept as the load bench's baseline and as the
-/// --serial-accept escape hatch.
-Status ServeTcpSerial(int port, MechanismService& service,
-                      std::ostream& announce);
 
 /// One-shot client for the daemon's TCP transport: sends `line`, returns
 /// the response chunk (batch replies arrive as multiple lines).

@@ -37,8 +37,6 @@ void RegisterServiceFlags(ArgParser* parser, ServiceFlags* flags) {
                   "degraded mode: serve cached entries only, shed misses");
   parser->AddInt("workers", &flags->workers, 0, 256,
                  "event-loop batch executor threads (0 = auto)");
-  parser->AddBool("serial-accept", &flags->serial_accept,
-                  "serve TCP with the historical one-client-at-a-time loop");
   parser->AddInt("metrics-port", &flags->metrics_port, -1, 65535,
                  "serve Prometheus GET /metrics over loopback HTTP "
                  "(0 picks a free port, -1 disables; event loop only)");
@@ -61,7 +59,6 @@ ServiceOptions ToServiceOptions(const ServiceFlags& flags) {
   options.idle_timeout_ms = flags.idle_timeout_ms;
   options.cached_only = flags.cached_only;
   options.workers = flags.workers;
-  options.serial_accept = flags.serial_accept;
   options.metrics_port = flags.metrics_port;
   options.slow_query_ms = flags.slow_query_ms;
   return options;

@@ -36,7 +36,6 @@ struct ServiceFlags {
   int64_t idle_timeout_ms = 0;    ///< --idle-timeout-ms: TCP idle drop
   bool cached_only = false;   ///< --cached-only: degraded mode
   int workers = 0;            ///< --workers: event-loop batch executors
-  bool serial_accept = false; ///< --serial-accept: historical TCP loop
   int metrics_port = -1;      ///< --metrics-port: loopback HTTP /metrics
   int64_t slow_query_ms = 0;  ///< --slow-query-ms: JSONL slow-query log
 };

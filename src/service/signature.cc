@@ -47,24 +47,29 @@ Result<MechanismSignature> MechanismSignature::Create(
   MechanismSignature sig;
   sig.n = n;
   sig.alpha = std::move(alpha);
-  // Force the lazy reduction now so CanonicalKey is lowest-terms even if
-  // alpha arrived from arithmetic.
+  // Force the lazy reduction now so the key is lowest-terms even if alpha
+  // arrived from arithmetic.
   (void)sig.alpha.numerator();
   sig.loss = std::move(canonical_loss);
   sig.lo = lo;
   sig.hi = hi;
   sig.mode = mode;
+  std::string& key = sig.canonical_key_;
+  key.reserve(64);
+  key += "mode=";
+  key += ServeModeName(mode);
+  key += ";n=";
+  key += std::to_string(n);
+  key += ";side=";
+  key += std::to_string(lo);
+  key += "..";
+  key += std::to_string(hi);
+  sig.structural_size_ = key.size();
+  key += ";loss=";
+  key += sig.loss;
+  key += ";alpha=";
+  key += sig.alpha.ToString();
   return sig;
-}
-
-std::string MechanismSignature::CanonicalKey() const {
-  return StructuralKey() + ";loss=" + loss + ";alpha=" + alpha.ToString();
-}
-
-std::string MechanismSignature::StructuralKey() const {
-  return std::string("mode=") + ServeModeName(mode) +
-         ";n=" + std::to_string(n) + ";side=" + std::to_string(lo) + ".." +
-         std::to_string(hi);
 }
 
 Result<ExactLossFunction> MechanismSignature::ResolveLoss() const {
@@ -78,7 +83,7 @@ Result<SideInformation> MechanismSignature::ResolveSide() const {
   return SideInformation::Interval(lo, hi, n);
 }
 
-uint64_t SignatureHash(const std::string& key) {
+uint64_t SignatureHash(std::string_view key) {
   uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   for (unsigned char c : key) {
     h ^= static_cast<uint64_t>(c);

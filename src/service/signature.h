@@ -15,12 +15,16 @@
 //     mode).  It selects the cache shard, so structurally identical
 //     problems (same LP rows/columns, different alpha or loss) colocate
 //     and a miss can warm-start from a neighbor without leaving its shard.
+// Create builds the canonical key once; the structural key is its prefix.
+// A cached query consults the key several times (executor check, batch
+// grouping, cache lookup, reply), and none of them rebuilds it.
 
 #ifndef GEOPRIV_SERVICE_SIGNATURE_H_
 #define GEOPRIV_SERVICE_SIGNATURE_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "core/consumer.h"
 #include "core/optimal_exact.h"
@@ -40,7 +44,8 @@ Result<ServeMode> ServeModeFromString(const std::string& text);
 const char* ServeModeName(ServeMode mode);
 
 /// The canonical identity of one servable problem.  Construct only through
-/// Create so the canonicalization invariants hold.
+/// Create so the canonicalization invariants hold: the fields are never
+/// modified afterwards, and the key Create stored is the one they spell.
 struct MechanismSignature {
   int n = 0;
   Rational alpha;        ///< lowest terms, in [0, 1] ((0, 1) for geometric)
@@ -56,12 +61,16 @@ struct MechanismSignature {
                                            int lo, int hi, ServeMode mode);
 
   /// Full identity, e.g. "mode=exact;n=8;side=0..8;loss=absolute;alpha=1/2".
-  std::string CanonicalKey() const;
+  /// Built by Create; empty for a default-constructed signature.
+  const std::string& CanonicalKey() const { return canonical_key_; }
 
   /// Shape-only prefix, e.g. "mode=exact;n=8;side=0..8" — everything that
   /// fixes the LP's rows and columns, i.e. the warm-start compatibility
   /// class (ExactSimplexOptions::warm_start requires structural identity).
-  std::string StructuralKey() const;
+  /// A view into CanonicalKey(), valid while this signature is.
+  std::string_view StructuralKey() const {
+    return std::string_view(canonical_key_).substr(0, structural_size_);
+  }
 
   bool operator==(const MechanismSignature& o) const {
     return mode == o.mode && n == o.n && lo == o.lo && hi == o.hi &&
@@ -73,12 +82,16 @@ struct MechanismSignature {
 
   /// The side-information set {lo..hi}.
   Result<SideInformation> ResolveSide() const;
+
+ private:
+  std::string canonical_key_;
+  size_t structural_size_ = 0;  ///< length of the StructuralKey prefix
 };
 
 /// FNV-1a over the key bytes: stable across platforms and restarts (unlike
 /// std::hash), so shard selection and persistence filenames never move
 /// between runs.
-uint64_t SignatureHash(const std::string& key);
+uint64_t SignatureHash(std::string_view key);
 
 }  // namespace geopriv
 

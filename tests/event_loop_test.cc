@@ -319,6 +319,38 @@ TEST_F(EventLoopTest, SlowLorisHalfLineIsDroppedUnansweredOnIdleTimeout) {
   EXPECT_EQ(loris.ReadToEof(), "");
 }
 
+TEST_F(EventLoopTest, PipelinedRepliesAreNotHeldForTheDelayedAck) {
+  // Two requests in one segment draw two replies, sent one after the
+  // other.  Under Nagle the second waits until the client ACKs the first,
+  // and the client delays that ACK (~40 ms on Linux) because it has
+  // nothing to send; TCP_NODELAY on the daemon's side removes the wait.
+  Start();
+  Client client;
+  ASSERT_TRUE(client.Connect(port_));
+  // Warm the connection first: a fresh connection ACKs every segment at
+  // once (quick-ACK), which hides the hold.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(client.SendLine("{\"op\":\"ping\"}"));
+    ASSERT_NE(client.ReadLine().find("\"op\":\"ping\",\"ok\":true"),
+              std::string::npos);
+  }
+  std::vector<double> pair_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Send("{\"op\":\"ping\"}\n{\"op\":\"ping\"}\n"));
+    ASSERT_NE(client.ReadLine().find("\"op\":\"ping\",\"ok\":true"),
+              std::string::npos);
+    ASSERT_NE(client.ReadLine().find("\"op\":\"ping\",\"ok\":true"),
+              std::string::npos);
+    pair_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  std::sort(pair_ms.begin(), pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 10.0)
+      << "median time to read both pipelined replies";
+}
+
 TEST_F(EventLoopTest, FinalUnterminatedLineIsAnsweredOnHalfClose) {
   Start();
   Client client;

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -54,6 +56,48 @@ TEST(SignatureTest, CanonicalizesEquivalentSpellings) {
   MechanismSignature c = Sig(5, R(2, 5));
   EXPECT_EQ(a.StructuralKey(), c.StructuralKey());
   EXPECT_NE(a.CanonicalKey(), c.CanonicalKey());
+
+  // Create builds the key once, so it must be exactly the string the
+  // fields spell — both modes, every loss and its CLI spelling, a
+  // non-reduced alpha — since it is the cache's map key and, hashed,
+  // every persisted entry's filename.
+  for (ServeMode mode : {ServeMode::kExactOptimal, ServeMode::kGeometric}) {
+    const std::string prefix =
+        std::string("mode=") + ServeModeName(mode) + ";n=7;side=2..6";
+    for (const char* loss : {"absolute", "squared", "zero-one", "zeroone"}) {
+      const std::string canonical_loss =
+          std::string(loss) == "zeroone" ? "zero-one" : loss;
+      auto sig = MechanismSignature::Create(7, R(2, 4), loss, 2, 6, mode);
+      ASSERT_TRUE(sig.ok()) << sig.status().ToString();
+      EXPECT_EQ(sig->CanonicalKey(),
+                prefix + ";loss=" + canonical_loss + ";alpha=1/2");
+      EXPECT_EQ(sig->StructuralKey(), prefix);
+    }
+  }
+
+  // The key survives copy and move, and a copy owns its key.
+  const std::string key = "mode=geometric;n=9;side=0..9;loss=squared;"
+                          "alpha=3/7";
+  const std::string structural = "mode=geometric;n=9;side=0..9";
+  MechanismSignature original =
+      Sig(9, R(6, 14), "squared", ServeMode::kGeometric);
+  MechanismSignature copied(original);
+  MechanismSignature assigned = a;
+  assigned = copied;
+  MechanismSignature moved(std::move(copied));
+  MechanismSignature move_assigned = a;
+  move_assigned = std::move(assigned);
+  MechanismSignature survivor = a;
+  {
+    MechanismSignature temporary = original;
+    survivor = temporary;
+  }
+  for (const MechanismSignature* sig :
+       {&original, &moved, &move_assigned, &survivor}) {
+    EXPECT_TRUE(*sig == original);
+    EXPECT_EQ(sig->CanonicalKey(), key);
+    EXPECT_EQ(sig->StructuralKey(), structural);
+  }
 }
 
 TEST(SignatureTest, RejectsMalformedProblems) {
@@ -339,6 +383,61 @@ TEST(MechanismCacheTest, QuarantinesTamperedEntriesOnAdoption) {
   EXPECT_EQ(second->loaded, 0);
   EXPECT_EQ(second->quarantined, 0);
   fs::remove_all(dir);
+}
+
+TEST(MechanismCacheTest, RefusesAnEntryWhoseStoredKeyWasTampered) {
+  // The key line is cross-checked against the key Create derives from the
+  // header fields.  A valid entry loads; the same bytes with only the key
+  // line altered (the mechanism block's checksum does not cover it) are
+  // quarantined.
+  namespace fs = std::filesystem;
+  const std::string root = ::testing::TempDir() + "/geopriv_cache_key";
+  fs::remove_all(root);
+  const MechanismSignature sig =
+      Sig(3, R(1, 2), "absolute", ServeMode::kGeometric);
+  {
+    MechanismCache cache;
+    ASSERT_TRUE(cache.GetOrSolve(sig).ok());
+    ASSERT_TRUE(cache.SaveToDirectory(root + "/saved").ok());
+  }
+  fs::path saved_entry;
+  for (const auto& dirent : fs::directory_iterator(root + "/saved")) {
+    if (dirent.path().extension() == ".entry") saved_entry = dirent.path();
+  }
+  ASSERT_FALSE(saved_entry.empty());
+  std::string text;
+  {
+    std::ifstream in(saved_entry);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
+  }
+  const std::string key_line = "key " + sig.CanonicalKey() + "\n";
+  const size_t at = text.find(key_line);
+  ASSERT_NE(at, std::string::npos);
+  std::string tampered = text;
+  tampered.replace(at, key_line.size(),
+                   "key " +
+                       Sig(3, R(1, 3), "absolute", ServeMode::kGeometric)
+                           .CanonicalKey() +
+                       "\n");
+
+  // Unmanifested directories: every file is adopted and re-validated.
+  const auto load_one = [&](const std::string& dir, const std::string& body) {
+    fs::create_directories(dir);
+    std::ofstream(dir + "/" + saved_entry.filename().string()) << body;
+    MechanismCache cache;
+    auto report = cache.LoadFromDirectory(dir);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    return std::make_pair(report.ok() ? report->loaded : -1,
+                          cache.Contains(sig));
+  };
+  EXPECT_EQ(load_one(root + "/intact", text), std::make_pair(1, true));
+  EXPECT_EQ(load_one(root + "/tampered", tampered),
+            std::make_pair(0, false));
+  EXPECT_TRUE(fs::exists(root + "/tampered/quarantine/" +
+                         saved_entry.filename().string()));
+  fs::remove_all(root);
 }
 
 TEST(MechanismCacheTest, ConcurrentGetOrSolveIsSafe) {
@@ -708,6 +807,106 @@ TEST(ProtocolTest, EscapingRoundTripsThroughTheParser) {
   EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\u12\"}").ok());
   EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\uzzzz\"}").ok());
   EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\ud800\"}").ok());
+}
+
+TEST(ProtocolTest, ReplyNumbersAreSpelledExactlyAsPrintf17g) {
+  // The reply's three doubles must be byte-identical to printf("%.17g"):
+  // clients parse them back to the exact double, and a changed spelling
+  // is a protocol change.  Edge cases: zero, exact binary fractions, a
+  // non-dyadic decimal, the normal/subnormal boundary and its
+  // neighbours, and running products alpha^k down into the subnormals
+  // (what composed levels actually are).
+  std::vector<double> values = {
+      0.0,
+      1.0,
+      0.5,
+      0.1,
+      1e-300,
+      DBL_MIN,
+      std::numeric_limits<double>::denorm_min(),
+      std::nextafter(DBL_MIN, 0.0),
+      std::nextafter(DBL_MIN, 1.0),
+      std::nextafter(1.0, 0.0),
+      std::nextafter(0.5, 1.0),
+      std::nextafter(0.1, 0.0),
+      std::nextafter(0.1, 1.0),
+  };
+  for (double alpha : {0.5, 0.9, 1.0 / 3.0, 0.999}) {
+    double product = 1.0;
+    for (int k = 0; k < 1100 && product > 0.0; k += 7) {
+      values.push_back(product);
+      for (int step = 0; step < 7; ++step) product *= alpha;
+    }
+  }
+  const auto printf17g = [](double value) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return std::string(buf);
+  };
+  ServiceQuery query;
+  query.consumer = "alice";
+  query.signature = Sig(2, R(1, 2));
+  for (size_t i = 0; i < values.size(); ++i) {
+    ServiceReply reply;
+    reply.optimal_loss = R(1, 3);
+    reply.cache = "hit";
+    // Each value takes every field position across three iterations.
+    reply.level_after = values[i];
+    reply.composed_level = values[(i + 1) % values.size()];
+    reply.budget = values[(i + 2) % values.size()];
+    std::string out;
+    AppendQueryReply(query, reply, &out);
+    const std::string expected =
+        ",\"level\":" + printf17g(reply.level_after) +
+        ",\"composed_level\":" + printf17g(reply.composed_level) +
+        ",\"budget\":" + printf17g(reply.budget) + ",\"cache\":\"hit\"}";
+    ASSERT_GE(out.size(), expected.size());
+    EXPECT_EQ(out.substr(out.size() - expected.size()), expected)
+        << "value index " << i;
+  }
+}
+
+TEST(ProtocolTest, ReplyStringsAreEscapedExactlyAsBefore) {
+  // Consumer names and error messages are escaped in place; the bytes
+  // must match the historical JsonEscape spelling: the five short
+  // escapes, lowercase \u00XX for the other control bytes, everything
+  // else (DEL, UTF-8) verbatim.
+  const std::string raw = std::string("q\"b\\s/\x01\x1f\n\r\t\b\f") +
+                          '\0' + "\x7f\xc3\xa9" "end";
+  const std::string escaped =
+      "q\\\"b\\\\s/\\u0001\\u001f\\n\\r\\t\\u0008\\u000c\\u0000"
+      "\x7f\xc3\xa9" "end";
+  EXPECT_EQ(JsonEscape(raw), escaped);
+  std::string appended = "prefix:";
+  AppendJsonEscaped(raw, &appended);
+  EXPECT_EQ(appended, "prefix:" + escaped);
+
+  ServiceQuery query;
+  query.consumer = raw;
+  query.signature = Sig(2, R(1, 2));
+  ServiceReply ok;
+  ok.optimal_loss = R(1, 3);
+  ok.cache = "hit";
+  ok.released = 1;
+  ok.level_after = 0.5;
+  ok.composed_level = 0.5;
+  ok.budget = 0.25;
+  EXPECT_EQ(FormatQueryReply(query, ok),
+            "{\"op\":\"query\",\"ok\":true,\"consumer\":\"" + escaped +
+                "\",\"signature\":\"mode=exact;n=2;side=0..2;"
+                "loss=absolute;alpha=1/2\",\"released\":1,\"loss\":\"1/3\","
+                "\"level\":0.5,\"composed_level\":0.5,\"budget\":0.25,"
+                "\"cache\":\"hit\"}");
+  ServiceReply rejected;
+  rejected.status = Status::FailedPrecondition(raw);
+  rejected.cache = "none";
+  EXPECT_EQ(FormatQueryReply(query, rejected),
+            "{\"op\":\"query\",\"ok\":false,\"consumer\":\"" + escaped +
+                "\",\"signature\":\"mode=exact;n=2;side=0..2;"
+                "loss=absolute;alpha=1/2\",\"error\":\"FailedPrecondition\","
+                "\"message\":\"" + escaped +
+                "\",\"level\":1,\"composed_level\":1,\"budget\":0,"
+                "\"cache\":\"none\"}");
 }
 
 // ---- service facade (in-process protocol sessions) --------------------------

@@ -431,7 +431,7 @@ void PrintUsage() {
       "             [--persist DIR] [--port P] [--deadline-ms D]\n"
       "             [--max-pending M] [--retry-after-ms R]\n"
       "             [--idle-timeout-ms I] [--cached-only 1] [--fault SPEC]\n"
-      "             [--workers W] [--serial-accept 1]\n"
+      "             [--workers W]\n"
       "             (JSONL mechanism service; same flags as geopriv_serve)\n"
       "  query      --consumer C --n N --alpha A --count K [--seed S]\n"
       "             [--samples K]\n"
