@@ -71,7 +71,7 @@ void RunWorkloads(bench::Harness& harness, int n) {
 
   // --- repeated-signature workload: cache vs solve-per-query ---------------
   MechanismCache cache;
-  QueryPipeline pipeline(&cache, nullptr, 1);
+  QueryPipeline pipeline(&cache, nullptr);
   const std::vector<ServiceQuery> one = RepeatedBatch(n, 1);
   (void)pipeline.ExecuteBatch(one);  // prime: the one cold solve
 
@@ -90,17 +90,11 @@ void RunWorkloads(bench::Harness& harness, int n) {
       {/*repetitions=*/5, /*warmup=*/0, /*min_rep_ms=*/0.0,
        /*budget_ms=*/-1.0});
 
-  // --- batched sampling fan-out --------------------------------------------
+  // --- batched sampling -----------------------------------------------------
   const std::vector<ServiceQuery> batch64 = RepeatedBatch(n, 64);
   harness.Run("CachedBatch64" + label, [&] {
     bench::DoNotOptimize(pipeline.ExecuteBatch(batch64).back().released);
   });
-  {
-    QueryPipeline threaded(&cache, nullptr, 4);
-    harness.Run("CachedBatch64/threads=4" + label, [&] {
-      bench::DoNotOptimize(threaded.ExecuteBatch(batch64).back().released);
-    });
-  }
 
   // --- the line protocol on the hit path -----------------------------------
   {
@@ -146,9 +140,11 @@ void RunWorkloads(bench::Harness& harness, int n) {
         std::to_string(n);
     fs::remove_all(dir);
     {
-      MechanismCache seeded;
+      CacheOptions options;
+      options.persist_dir = dir;
+      MechanismCache seeded(options);
       (void)MustEntry(seeded.GetOrSolve(Sig(n, R(1, 2))));
-      if (!seeded.SaveToDirectory(dir).ok()) {
+      if (seeded.GetStats().persist_failures != 0) {
         std::fprintf(stderr, "cannot persist the bench cache to %s\n",
                      dir.c_str());
         std::exit(1);

@@ -9,7 +9,7 @@
 // average is a better estimator than any single release (privacy leaks);
 // under (b) it is not (Lemma 4 / Theorem 1 part 1).
 //
-// Run:  ./build/examples/collusion_audit
+// Run:  ./build/example_collusion_audit
 
 #include <cstdio>
 #include <vector>

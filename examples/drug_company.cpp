@@ -9,7 +9,7 @@
 //     reinterpretation,
 //   * the resulting loss equals the per-consumer optimum (Theorem 1).
 //
-// Run:  ./build/examples/drug_company
+// Run:  ./build/example_drug_company
 
 #include <cstdio>
 

@@ -9,7 +9,7 @@
 // using Algorithm 1 so that even if the two audiences collude they learn
 // no more than the internal report alone reveals.
 //
-// Run:  ./build/examples/flu_report
+// Run:  ./build/example_flu_report
 
 #include <cstdio>
 

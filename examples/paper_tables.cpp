@@ -3,7 +3,7 @@
 // (G and G' forms), and the Appendix B counterexample with its violated
 // Theorem-2 triple.
 //
-// Run:  ./build/examples/paper_tables
+// Run:  ./build/example_paper_tables
 
 #include <cstdio>
 

@@ -6,7 +6,7 @@
 //   3. release a perturbed count,
 //   4. verify the differential-privacy guarantee programmatically.
 //
-// Run:  ./build/examples/quickstart
+// Run:  ./build/example_quickstart
 
 #include <cstdio>
 

@@ -1,6 +1,6 @@
 // Umbrella header: the full public API of the geopriv library.
 //
-// geopriv is a from-scratch C++20 implementation of
+// geopriv is a from-scratch C++17 implementation of
 //   Gupte & Sundararajan, "Universally Optimal Privacy Mechanisms for
 //   Minimax Agents", PODS 2010 (arXiv:1001.2767),
 // including the geometric mechanism, minimax/Bayesian consumer models, the

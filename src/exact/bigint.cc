@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <limits>
 
 namespace geopriv {
 
@@ -10,6 +12,26 @@ namespace {
 constexpr uint64_t kBase = 1ULL << 32;
 // Magnitude of INT64_MIN; the one int64 whose |value| has bit 63 set.
 constexpr uint64_t kInt64MinMagnitude = 1ULL << 63;
+
+// The double nearest to (m + f) * 2^exp2, where 0 < f < 1 iff `sticky`
+// and m != 0.  m is first normalized to 64 bits, so at least 11 bits lie
+// below a double's 53 and `sticky` only ever breaks exact ties.
+double RoundToDouble(uint64_t m, bool sticky, int64_t exp2) {
+  const int lead = __builtin_clzll(m);
+  m <<= lead;
+  exp2 -= lead;
+  const int64_t top = 63 + exp2;  // the value lies in [2^top, 2^(top+1))
+  if (top > 1023) return std::numeric_limits<double>::infinity();
+  const int64_t ulp = std::max<int64_t>(top - 52, -1074);
+  const int64_t drop = ulp - exp2;  // low bits of m that round away
+  if (drop > 64) return 0.0;        // below half the smallest subnormal
+  const uint64_t kept = drop == 64 ? 0 : m >> drop;
+  const uint64_t rest = drop == 64 ? m : m & ((uint64_t{1} << drop) - 1);
+  const uint64_t half = uint64_t{1} << (drop - 1);
+  const bool up = rest > half || (rest == half && (sticky || (kept & 1) != 0));
+  return std::ldexp(static_cast<double>(kept + (up ? 1 : 0)),
+                    static_cast<int>(ulp));
+}
 
 uint64_t GcdU64(uint64_t a, uint64_t b) {
   while (b != 0) {
@@ -187,12 +209,31 @@ Result<int64_t> BigInt::ToInt64() const {
 }
 
 double BigInt::ToDouble() const {
+  // int64 -> double is a single correctly rounded conversion.
   if (!large_) return static_cast<double>(small_);
-  double out = 0.0;
-  for (size_t i = limbs_.size(); i-- > 0;) {
-    out = out * static_cast<double>(kBase) + static_cast<double>(limbs_[i]);
+  return ToDoubleScaled(0, /*sticky=*/false);
+}
+
+double BigInt::ToDoubleScaled(int64_t exp2, bool sticky) const {
+  uint64_t top = SmallMagnitude();
+  if (large_) {
+    // The magnitude's leading 64 bits (a large value has at least 64),
+    // with every bit below them folded into `sticky`.
+    const size_t low = BitLength() - 64;
+    const size_t limb = low / 32;
+    const unsigned shift = low % 32;
+    unsigned __int128 window = 0;
+    for (size_t k = std::min(limbs_.size(), limb + 3); k-- > limb;) {
+      window = (window << 32) | limbs_[k];
+    }
+    top = static_cast<uint64_t>(window >> shift);
+    sticky |= (limbs_[limb] & ((uint32_t{1} << shift) - 1)) != 0;
+    for (size_t k = 0; k < limb && !sticky; ++k) sticky = limbs_[k] != 0;
+    exp2 += static_cast<int64_t>(low);
   }
-  return negative_ ? -out : out;
+  if (top == 0) return 0.0;
+  const double out = RoundToDouble(top, sticky, exp2);
+  return IsNegative() ? -out : out;
 }
 
 BigInt BigInt::operator-() const {

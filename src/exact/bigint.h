@@ -61,8 +61,14 @@ class BigInt {
   size_t BitLength() const;
   /// Converts to int64 when representable.
   Result<int64_t> ToInt64() const;
-  /// Closest double (may lose precision for large magnitudes).
+  /// Closest double (round half to even; ±inf beyond double range).
   double ToDouble() const;
+  /// Closest double to (|this| + f) * 2^exp2 with the sign of this, where
+  /// 0 < f < 1 when `sticky` (nonzero bits lost below the last one, as in
+  /// a truncated quotient with a remainder) and f == 0 otherwise.  Rounds
+  /// once, half to even, at the result's own ulp — subnormals included —
+  /// and overflows to ±inf.  Zero yields 0.0.
+  double ToDoubleScaled(int64_t exp2, bool sticky) const;
 
   // Arithmetic ------------------------------------------------------------
   BigInt operator-() const;

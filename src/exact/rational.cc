@@ -1,5 +1,6 @@
 #include "exact/rational.h"
 
+#include <cmath>
 #include <utility>
 
 namespace geopriv {
@@ -95,10 +96,26 @@ std::string Rational::ToString() const {
 }
 
 double Rational::ToDouble() const {
-  // Reduce first: an unreduced pair can overflow double range even when the
-  // value itself is tame.
   Reduce();
-  return num_.ToDouble() / den_.ToDouble();
+  // Both sides below 2^53 convert exactly, and IEEE division then rounds
+  // correctly once.
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  const double num = num_.ToDouble();
+  const double den = den_.ToDouble();
+  if (std::fabs(num) < kExact && den < kExact) return num / den;
+  // Otherwise divide in integers, scaled so the quotient carries 54-56
+  // bits, and round that once: num/den as doubles would overflow to inf
+  // (or NaN) once either side passes ~1.8e308, however tame the value.
+  const int64_t scale = static_cast<int64_t>(den_.BitLength()) -
+                        static_cast<int64_t>(num_.BitLength()) + 55;
+  BigInt a = num_.Abs();
+  BigInt b = den_;
+  if (scale > 0) a *= BigInt::Pow(BigInt(2), static_cast<uint64_t>(scale));
+  if (scale < 0) b *= BigInt::Pow(BigInt(2), static_cast<uint64_t>(-scale));
+  const BigInt quotient = *BigInt::Divide(a, b);
+  const double out =
+      quotient.ToDoubleScaled(-scale, /*sticky=*/quotient * b != a);
+  return num_.IsNegative() ? -out : out;
 }
 
 Rational Rational::operator-() const {

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cstdint>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -21,12 +20,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include "service/protocol.h"
 #include "util/fault_injection.h"
@@ -109,11 +105,10 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-// ---- Readiness demultiplexer: epoll with a poll(2) fallback -----------------
+// ---- Readiness demultiplexer: epoll ----------------------------------------
 //
-// epoll is O(ready) per wakeup and the natural Linux backend; the poll
-// path keeps the daemon portable and is runtime-selectable with
-// GEOPRIV_FORCE_POLL=1 so the fallback stays tested on Linux CI.
+// epoll is O(ready) per wakeup.  The interest map mirrors what is
+// registered so Modify can skip a redundant epoll_ctl.
 class Poller {
  public:
   enum : uint32_t { kRead = 1u, kWrite = 2u };
@@ -124,31 +119,18 @@ class Poller {
     bool error = false;  // EPOLLERR/EPOLLHUP — the peer is gone or broken
   };
 
-  Poller() {
-#ifdef __linux__
-    const char* force = std::getenv("GEOPRIV_FORCE_POLL");
-    if (force == nullptr || force[0] != '1') {
-      epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    }
-#endif
-  }
+  Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {}
   ~Poller() {
     if (epfd_ >= 0) ::close(epfd_);
   }
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
+  bool ok() const { return epfd_ >= 0; }
+
   bool Add(int fd, uint32_t mask) {
     interest_[fd] = mask;
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = ToEpoll(mask);
-      ev.data.fd = fd;
-      return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-    }
-#endif
-    return true;
+    return Control(EPOLL_CTL_ADD, fd, mask);
   }
 
   bool Modify(int fd, uint32_t mask) {
@@ -156,80 +138,44 @@ class Poller {
     if (it == interest_.end()) return false;
     if (it->second == mask) return true;
     it->second = mask;
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      epoll_event ev{};
-      ev.events = ToEpoll(mask);
-      ev.data.fd = fd;
-      return ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-    }
-#endif
-    return true;
+    return Control(EPOLL_CTL_MOD, fd, mask);
   }
 
   void Remove(int fd) {
     interest_.erase(fd);
-#ifdef __linux__
-    if (epfd_ >= 0) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   }
 
   /// Waits up to `timeout_ms` (-1 = forever) and fills `out` with the
   /// ready set.  Returns false on an unrecoverable demultiplexer error.
   bool Wait(int timeout_ms, std::vector<Event>* out) {
     out->clear();
-#ifdef __linux__
-    if (epfd_ >= 0) {
-      std::array<epoll_event, 256> ready;
-      const int n = ::epoll_wait(epfd_, ready.data(),
-                                 static_cast<int>(ready.size()), timeout_ms);
-      if (n < 0) return errno == EINTR;
-      for (int i = 0; i < n; ++i) {
-        Event event;
-        event.fd = ready[i].data.fd;
-        event.readable = (ready[i].events & EPOLLIN) != 0;
-        event.writable = (ready[i].events & EPOLLOUT) != 0;
-        event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-        out->push_back(event);
-      }
-      return true;
-    }
-#endif
-    pollfds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      pollfd p{};
-      p.fd = fd;
-      if (mask & kRead) p.events |= POLLIN;
-      if (mask & kWrite) p.events |= POLLOUT;
-      pollfds_.push_back(p);
-    }
-    const int n = ::poll(pollfds_.data(),
-                         static_cast<nfds_t>(pollfds_.size()), timeout_ms);
+    std::array<epoll_event, 256> ready;
+    const int n = ::epoll_wait(epfd_, ready.data(),
+                               static_cast<int>(ready.size()), timeout_ms);
     if (n < 0) return errno == EINTR;
-    for (const pollfd& p : pollfds_) {
-      if (p.revents == 0) continue;
+    for (int i = 0; i < n; ++i) {
       Event event;
-      event.fd = p.fd;
-      event.readable = (p.revents & POLLIN) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+      event.fd = ready[i].data.fd;
+      event.readable = (ready[i].events & EPOLLIN) != 0;
+      event.writable = (ready[i].events & EPOLLOUT) != 0;
+      event.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
       out->push_back(event);
     }
     return true;
   }
 
  private:
-#ifdef __linux__
-  static uint32_t ToEpoll(uint32_t mask) {
-    uint32_t events = 0;
-    if (mask & kRead) events |= EPOLLIN;
-    if (mask & kWrite) events |= EPOLLOUT;
-    return events;
+  bool Control(int op, int fd, uint32_t mask) {
+    epoll_event ev{};
+    if (mask & kRead) ev.events |= EPOLLIN;
+    if (mask & kWrite) ev.events |= EPOLLOUT;
+    ev.data.fd = fd;
+    return ::epoll_ctl(epfd_, op, fd, &ev) == 0;
   }
-  int epfd_ = -1;
-#endif
+
+  int epfd_;
   std::unordered_map<int, uint32_t> interest_;
-  std::vector<pollfd> pollfds_;
 };
 
 // ---- Idle-connection timer wheel --------------------------------------------
@@ -437,6 +383,7 @@ class EventLoopServer {
       : service_(service), announce_(announce) {}
 
   Status Serve(int port) {
+    if (!poller_.ok()) return Status::Internal("epoll_create1() failed");
     GEOPRIV_RETURN_IF_ERROR(Listen(port));
     if (service_.options().metrics_port >= 0) {
       GEOPRIV_RETURN_IF_ERROR(ListenMetrics(service_.options().metrics_port));

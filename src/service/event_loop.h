@@ -2,8 +2,7 @@
 // TCP transport.
 //
 // The event loop multiplexes thousands of concurrent connections over one
-// I/O thread (epoll on Linux, poll(2) elsewhere or under
-// GEOPRIV_FORCE_POLL=1) with:
+// I/O thread (epoll) with:
 //
 //   - per-connection read/write buffers with partial-line reassembly
 //     (a 1 MiB request-line cap; a final unterminated line is answered

@@ -483,35 +483,6 @@ void MechanismCache::ManifestAdd(const std::string& stem) {
                   // the next load removes them as debris and re-solves
 }
 
-Status MechanismCache::SaveToDirectory(const std::string& dir) const {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    return Status::Internal("cannot create '" + dir + "': " + ec.message());
-  }
-  std::set<std::string> stems;
-  for (const Shard& shard : shards_) {
-    std::vector<std::shared_ptr<const ServedMechanism>> snapshot;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      snapshot.reserve(shard.entries.size());
-      for (const auto& [key, slot] : shard.entries) {
-        snapshot.push_back(slot.entry);
-      }
-    }
-    // Files are written outside the shard lock (entry pointers keep the
-    // data alive); hits on this shard stay cheap during a bulk save.
-    for (const auto& entry : snapshot) {
-      GEOPRIV_RETURN_IF_ERROR(PersistEntryFiles(
-          dir, *entry, SerializeExactMechanismV3(entry->exact)));
-      stems.insert(HashStem(entry->signature));
-    }
-  }
-  std::lock_guard<std::mutex> lock(maintenance_mu_);
-  manifest_stems_.insert(stems.begin(), stems.end());
-  return WriteManifestLocked(dir, manifest_stems_);
-}
-
 namespace {
 
 // Unlinking runs last, after the manifest commit and the in-memory erase:

@@ -178,13 +178,6 @@ class MechanismCache {
     return pending_solves_.load(std::memory_order_relaxed);
   }
 
-  /// Persists every entry to `dir` (created if missing): one checksummed
-  /// io-v3 entry file per entry named by the stable signature hash, one
-  /// basis document per LP entry with a non-empty basis, and a rewritten
-  /// manifest.  Existing files are overwritten; foreign files are left
-  /// alone.  Idempotent over entries already persisted at publish time.
-  Status SaveToDirectory(const std::string& dir) const;
-
   /// What LoadFromDirectory found.  `quarantined` and `basis_reloads`
   /// also accumulate into GetStats().
   struct LoadReport {
@@ -274,8 +267,8 @@ class MechanismCache {
   std::atomic<uint64_t> persist_failures_{0};
   /// Serializes eviction and manifest commits; guards manifest_stems_.
   /// Lock order: maintenance_mu_ before any shard.mu, never the reverse.
-  mutable std::mutex maintenance_mu_;
-  mutable std::set<std::string> manifest_stems_;  ///< live entry file stems
+  std::mutex maintenance_mu_;
+  std::set<std::string> manifest_stems_;  ///< live entry file stems
 };
 
 }  // namespace geopriv

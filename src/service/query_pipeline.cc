@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -75,10 +76,7 @@ struct PipelineMetrics {
 
 QueryPipeline::QueryPipeline(MechanismCache* cache, BudgetLedger* ledger,
                              PipelineOptions options)
-    : cache_(cache), ledger_(ledger), options_(options) {
-  const int count = ThreadPool::ConfiguredThreads(options_.threads);
-  if (count > 1) pool_ = std::make_unique<ThreadPool>(count);
-}
+    : cache_(cache), ledger_(ledger), options_(options) {}
 
 std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
     const std::vector<ServiceQuery>& queries) {
@@ -148,7 +146,6 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
               if (cmp != 0) return cmp < 0;
               return a.first < b.first;
             });
-  size_t batch_solves = 0;
   if (timed) stage_watch.Reset();
   for (auto& [key, group_ptr] : solve_order) {
     Group& group = *group_ptr;
@@ -177,25 +174,20 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
       group.cache = "skipped";  // entry stays null; charges reject below
       continue;
     }
-    // Overload shedding: in cached_only degraded mode no miss may solve,
-    // and under max_batch_solves only the first K miss groups (in the
-    // deterministic solve order above) are admitted.  Shed groups answer
-    // Unavailable with a backoff hint; cached service above is untouched.
-    // The per-call override is the event loop's eviction race showing up
-    // here: work classified as cached a moment ago missed after all, and
-    // the retry (off the I/O thread) is the place to solve it.
-    if (cached_only ||
-        (options_.max_batch_solves > 0 &&
-         batch_solves >= options_.max_batch_solves)) {
+    // Overload shedding: in cached_only degraded mode no miss may solve.
+    // Shed groups answer Unavailable with a backoff hint; cached service
+    // above is untouched.  The per-call override is the event loop's
+    // eviction race showing up here: work classified as cached a moment
+    // ago missed after all, and the retry (off the I/O thread) is the
+    // place to solve it.
+    if (cached_only) {
       group.cache = "shed";
       group.status = Status::Unavailable(
           cached_only_override
               ? "signature is no longer cached (evicted since "
                 "classification); retry to solve it"
-              : options_.cached_only
-                    ? "service is in cached-only degraded mode; signature is "
-                      "not cached"
-                    : "batch solve budget exhausted; retry later");
+              : "service is in cached-only degraded mode; signature is not "
+                "cached");
       continue;
     }
     // The group's deadline: the laxest among its members (one solve serves
@@ -214,7 +206,6 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
       deadline_ms = std::max(deadline_ms, member_ms);
     }
     if (unbounded) deadline_ms = 0;
-    ++batch_solves;
     bool hit = false;
     Result<std::shared_ptr<const ServedMechanism>> entry =
         cache_->GetOrSolve(first.signature, &hit, deadline_ms);
@@ -311,12 +302,10 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
   // into parallel arrays (seed, draw count, output offset) and
   // partitioned by (mechanism, true-count row): one quantized alias
   // table then serves a whole lane group through the batched kernel
-  // (rng/batch_sampler.h), and the fan-out parallelizes across row
-  // groups, each of which owns its members' reply slots exclusively.
-  // Bit-identity with the per-request scalar path is the kernel's
-  // contract — lane k reproduces exactly the stream Xoshiro256(seed_k)
-  // yields — so neither the decomposition nor the pool's scheduling of
-  // it can change any released value.
+  // (rng/batch_sampler.h).  Bit-identity with the per-request scalar
+  // path is the kernel's contract — lane k reproduces exactly the stream
+  // Xoshiro256(seed_k) yields — so the decomposition cannot change any
+  // released value.
   auto scatter = [&](size_t q, const int32_t* draws) {
     ServiceReply& reply = replies[q];
     const int reps = std::max(1, queries[q].samples);
@@ -386,8 +375,7 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
         row_groups.push_back({group.entry.get(), row, std::move(members)});
       }
     }
-    auto sample_group = [&](size_t g) {
-      const RowGroup& rg = row_groups[g];
+    for (const RowGroup& rg : row_groups) {
       const size_t lanes = rg.members.size();
       std::vector<uint64_t> seeds(lanes);
       std::vector<int32_t> counts(lanes);
@@ -412,21 +400,12 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
                                                draws.data());
       if (!status.ok()) {
         for (size_t q : rg.members) replies[q].status = status;
-        return;
+        continue;
       }
       for (size_t j = 0; j < lanes; ++j) {
         scatter(rg.members[j], draws.data() + offsets[j]);
       }
       pm.sample_batch_size->Observe(static_cast<int64_t>(lanes));
-    };
-    if (pool_ != nullptr && row_groups.size() > 1) {
-      // The pool is not reentrant (one ParallelFor at a time), and the
-      // event-loop transport runs concurrent batches through one
-      // pipeline — serialize just the fan-out, not the stages above.
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      pool_->ParallelFor(row_groups.size(), sample_group);
-    } else {
-      for (size_t g = 0; g < row_groups.size(); ++g) sample_group(g);
     }
   }
   if (timed) sample_us = static_cast<int64_t>(stage_watch.ElapsedMicros());

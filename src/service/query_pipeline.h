@@ -1,4 +1,4 @@
-// Batched query pipeline: amortize solves, fan out samples.
+// Batched query pipeline: amortize solves, batch the samples.
 //
 // Under load the service sees many concurrent queries, and most share a
 // signature (one negotiated contract, many data points).  The pipeline
@@ -6,21 +6,18 @@
 // signature is resolved through the solve cache exactly once (so a batch
 // of 1000 queries against one contract pays one lookup — or one solve on
 // the first ever batch), the budget ledger is charged in input order
-// (deterministic: the ledger is sequential state), and sampling fans out
-// across a worker pool.
+// (deterministic: the ledger is sequential state), and the admitted
+// requests are sampled through the batched kernel one row group at a time.
 //
 // Determinism: every request carries its own seed, and its sample is drawn
 // from a fresh Xoshiro256 stream seeded with it.  No request reads another
-// request's RNG state, so ParallelFor's arbitrary interleaving cannot
-// change any released value — the reply vector is bit-identical for every
-// thread count, which tests/service_test.cc pins.
+// request's RNG state, so each released value equals a direct Sample from
+// its own seed — which tests/service_test.cc pins.
 
 #ifndef GEOPRIV_SERVICE_QUERY_PIPELINE_H_
 #define GEOPRIV_SERVICE_QUERY_PIPELINE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,7 +26,6 @@
 #include "service/mechanism_cache.h"
 #include "service/signature.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace geopriv {
 
@@ -92,7 +88,7 @@ struct ServiceReply {
   bool traced = false;
   int64_t trace_solve_us = 0;   ///< stage 1: group + cache resolve
   int64_t trace_charge_us = 0;  ///< stage 2: budget admission + charge
-  int64_t trace_sample_us = 0;  ///< stage 3: sampling fan-out
+  int64_t trace_sample_us = 0;  ///< stage 3: sampling
   /// Transport spans, filled by the serving layer (not the pipeline):
   int64_t trace_parse_us = 0;    ///< request line parse + validation
   int64_t trace_queue_us = 0;    ///< event-loop executor queue wait
@@ -101,12 +97,6 @@ struct ServiceReply {
 
 /// Pipeline tuning; all defaults preserve the historical behavior.
 struct PipelineOptions {
-  /// Sampling pool size (0 defers to GEOPRIV_THREADS).
-  int threads = 0;
-  /// Overload admission: at most this many fresh solves per batch; later
-  /// miss groups are shed with Status::Unavailable and retry_after_ms.
-  /// 0 means unbounded.
-  size_t max_batch_solves = 0;
   /// Degraded mode: serve cached entries only; every miss group is shed.
   /// The switch an operator flips (or a future overload controller sets)
   /// when solver capacity must be protected.
@@ -127,19 +117,15 @@ class QueryPipeline {
   /// The cache and ledger are borrowed and must outlive the pipeline.
   QueryPipeline(MechanismCache* cache, BudgetLedger* ledger,
                 PipelineOptions options = {});
-  /// Convenience overload: only the sampling pool size.
-  QueryPipeline(MechanismCache* cache, BudgetLedger* ledger, int threads)
-      : QueryPipeline(cache, ledger, PipelineOptions{threads, 0, false,
-                                                     1000, 0}) {}
 
   /// Executes a batch: group by signature -> resolve each signature once
   /// through the cache -> charge the ledger in input order -> sample the
-  /// admitted requests in parallel.  Replies come back in input order.
+  /// admitted requests.  Replies come back in input order.
   /// Per-request failures land in the reply's status; the call itself only
   /// fails on internal errors.  Thread-safe: concurrent batches (the
   /// event-loop transport's executor workers plus its inline cached path)
-  /// synchronize on the cache, the ledger, and the sampling pool; each
-  /// batch is internally deterministic regardless of what runs beside it.
+  /// synchronize on the cache and the ledger; each batch is internally
+  /// deterministic regardless of what runs beside it.
   ///
   /// Miss groups resolve as one warm family: distinct unsolved signatures
   /// are taken in (structure, alpha) order, so each exact solve seeds the
@@ -165,8 +151,6 @@ class QueryPipeline {
   MechanismCache* cache_;
   BudgetLedger* ledger_;
   PipelineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // sampling fan-out (may be null)
-  std::mutex pool_mu_;  // the pool is not reentrant; one fan-out at a time
 };
 
 }  // namespace geopriv

@@ -36,14 +36,6 @@ CacheOptions MakeCacheOptions(const ServiceOptions& options) {
   return cache;
 }
 
-// Serializes a sync-then-read of the process registry, so two services
-// (or a stats op racing a /metrics scrape) can never interleave their
-// mirrored snapshots.  Process-wide on purpose: the registry it guards is.
-std::mutex& MetricsSyncMu() {
-  static std::mutex* const mu = new std::mutex;
-  return *mu;
-}
-
 // Per-op request counters, interned once.
 void RecordRequestOp(ServiceOp op) {
   if (!metrics::Enabled()) return;
@@ -70,16 +62,6 @@ void RecordRequestOp(ServiceOp op) {
   by_op[static_cast<size_t>(op)]->Increment();
 }
 
-// The value of a (name, labels) pair in a Collect() snapshot; 0 if absent.
-int64_t RegistryValue(const std::vector<metrics::Sample>& samples,
-                      const std::string& name,
-                      const metrics::Labels& labels = {}) {
-  for (const metrics::Sample& sample : samples) {
-    if (sample.name == name && sample.labels == labels) return sample.value;
-  }
-  return 0;
-}
-
 // Label values flattened into a stable key suffix for the flat-JSON
 // metrics op: geopriv_solver_pivots{phase="1",start="warm"} ->
 // "geopriv_solver_pivots_1_warm" (label keys are sorted by the map).
@@ -93,19 +75,12 @@ std::string FlatKey(const metrics::Sample& sample) {
 
 }  // namespace
 
-// The cache (solve pool) and pipeline (sampling pool) each own a worker
-// pool on purpose: ThreadPool is not reentrant, and while THIS service
-// drives them strictly sequentially, both components are public API that
-// embedders may drive from concurrent threads — sharing one pool would
-// trade idle-thread memory for a correctness landmine.  Idle workers park
-// on a condition variable and cost no CPU.
 MechanismService::MechanismService(ServiceOptions options)
     : options_(std::move(options)),
       cache_(MakeCacheOptions(options_)),
       ledger_(options_.budget_alpha),
       pipeline_(&cache_, &ledger_,
-                PipelineOptions{options_.threads, /*max_batch_solves=*/0,
-                                options_.cached_only, options_.retry_after_ms,
+                PipelineOptions{options_.cached_only, options_.retry_after_ms,
                                 options_.default_deadline_ms,
                                 /*time_stages=*/options_.slow_query_ms > 0}),
       ledger_store_(&ledger_, options_.persist_dir) {}
@@ -176,37 +151,16 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
     }
 
     case ServiceOp::kStats: {
-      // The stats op IS a registry read: the cache aggregates are synced
-      // into the process registry and the reply is formatted from the
-      // snapshot, so `stats` and `metrics` can never disagree.  The
-      // sync-then-collect pair is atomic under the sync mutex.
-      std::vector<metrics::Sample> samples;
-      {
-        std::lock_guard<std::mutex> lock(MetricsSyncMu());
-        const bool was_enabled = metrics::Enabled();
-        // The stats op must answer even when recording is switched off
-        // for overhead measurement — force the sync writes through.
-        if (!was_enabled) metrics::SetEnabled(true);
-        SyncMetricsLocked();
-        samples = metrics::Registry::Default()->Collect();
-        if (!was_enabled) metrics::SetEnabled(false);
-      }
+      const MechanismCache::Stats stats = cache_.GetStats();
       std::ostringstream out;
-      out << "{\"op\":\"stats\",\"ok\":true,\"entries\":"
-          << RegistryValue(samples, "geopriv_cache_entries")
-          << ",\"hits\":" << RegistryValue(samples, "geopriv_cache_hits")
-          << ",\"misses\":" << RegistryValue(samples, "geopriv_cache_misses")
-          << ",\"warm_starts\":"
-          << RegistryValue(samples, "geopriv_cache_warm_starts")
-          << ",\"bytes\":" << RegistryValue(samples, "geopriv_cache_bytes")
-          << ",\"evictions\":"
-          << RegistryValue(samples, "geopriv_cache_evictions")
-          << ",\"quarantined\":"
-          << RegistryValue(samples, "geopriv_cache_quarantined")
-          << ",\"basis_warm_reloads\":"
-          << RegistryValue(samples, "geopriv_cache_basis_warm_reloads")
-          << ",\"persist_failures\":"
-          << RegistryValue(samples, "geopriv_cache_persist_failures") << "}";
+      out << "{\"op\":\"stats\",\"ok\":true,\"entries\":" << stats.entries
+          << ",\"hits\":" << stats.hits << ",\"misses\":" << stats.misses
+          << ",\"warm_starts\":" << stats.warm_starts
+          << ",\"bytes\":" << stats.bytes
+          << ",\"evictions\":" << stats.evictions
+          << ",\"quarantined\":" << stats.quarantined
+          << ",\"basis_warm_reloads\":" << stats.basis_warm_reloads
+          << ",\"persist_failures\":" << stats.persist_failures << "}";
       return out.str();
     }
 
@@ -339,87 +293,67 @@ Status MechanismService::PersistCharges(
   return ledger_store_.Sync(ticket);
 }
 
-void MechanismService::SyncMetricsLocked() {
-  // The cache keeps its own authoritative counters (tests assert on
-  // GetStats() directly); the registry carries mirrors, refreshed here so
-  // every exposition path — stats op, metrics op, GET /metrics — reads
-  // one source.  Mirrored values are gauges: they are set absolutely,
-  // and with several services in one process (tests) the last sync wins,
-  // which the sync mutex makes atomic per read.
-  metrics::Registry* registry = metrics::Registry::Default();
-  struct Mirror {
-    metrics::Gauge* entries;
-    metrics::Gauge* bytes;
-    metrics::Gauge* hits;
-    metrics::Gauge* misses;
-    metrics::Gauge* warm_starts;
-    metrics::Gauge* shed;
-    metrics::Gauge* timeouts;
-    metrics::Gauge* evictions;
-    metrics::Gauge* quarantined;
-    metrics::Gauge* basis_warm_reloads;
-    metrics::Gauge* persist_failures;
-    metrics::Gauge* pending_solves;
-    metrics::Gauge* ledger_consumers;
-  };
-  static const Mirror m = {
-      registry->GetGauge("geopriv_cache_entries", "Live cache entries"),
-      registry->GetGauge("geopriv_cache_bytes",
-                         "Serialized size of live cache entries"),
-      registry->GetGauge("geopriv_cache_hits", "Cache lookups served"),
-      registry->GetGauge("geopriv_cache_misses",
-                         "Cache misses that ran a solve"),
-      registry->GetGauge("geopriv_cache_warm_starts",
-                         "Misses seeded from a cached basis"),
-      registry->GetGauge("geopriv_cache_shed",
-                         "Misses rejected by the admission cap"),
-      registry->GetGauge("geopriv_cache_timeouts",
-                         "Cache calls that hit their deadline"),
-      registry->GetGauge("geopriv_cache_evictions",
-                         "Entries removed by the LRU bound"),
-      registry->GetGauge("geopriv_cache_quarantined",
-                         "Corrupt files moved to quarantine/"),
-      registry->GetGauge("geopriv_cache_basis_warm_reloads",
-                         "Bases restored from disk on load"),
-      registry->GetGauge("geopriv_cache_persist_failures",
-                         "Entries degraded to memory-only by a failed "
-                         "persist"),
-      registry->GetGauge("geopriv_cache_pending_solves",
-                         "Solves running or queued on the solver mutex"),
-      registry->GetGauge("geopriv_ledger_consumers",
-                         "Consumers with a ledger account"),
-  };
+std::vector<metrics::Sample> MechanismService::CollectMetrics() const {
+  // The cache's atomics are the only home of its counters: they are read
+  // here, once per render, and merged into the registry snapshot as
+  // gauges.  Each service therefore reports its own cache, however many
+  // share the process registry.
   const MechanismCache::Stats stats = cache_.GetStats();
-  m.entries->Set(static_cast<int64_t>(stats.entries));
-  m.bytes->Set(static_cast<int64_t>(stats.bytes));
-  m.hits->Set(static_cast<int64_t>(stats.hits));
-  m.misses->Set(static_cast<int64_t>(stats.misses));
-  m.warm_starts->Set(static_cast<int64_t>(stats.warm_starts));
-  m.shed->Set(static_cast<int64_t>(stats.shed));
-  m.timeouts->Set(static_cast<int64_t>(stats.timeouts));
-  m.evictions->Set(static_cast<int64_t>(stats.evictions));
-  m.quarantined->Set(static_cast<int64_t>(stats.quarantined));
-  m.basis_warm_reloads->Set(static_cast<int64_t>(stats.basis_warm_reloads));
-  m.persist_failures->Set(static_cast<int64_t>(stats.persist_failures));
-  m.pending_solves->Set(static_cast<int64_t>(cache_.PendingSolves()));
-  m.ledger_consumers->Set(static_cast<int64_t>(ledger_.size()));
-}
-
-std::string MechanismService::MetricsText() {
-  std::lock_guard<std::mutex> lock(MetricsSyncMu());
-  SyncMetricsLocked();
-  return metrics::Registry::Default()->RenderPrometheus();
-}
-
-std::string MechanismService::MetricsJson() {
-  std::vector<metrics::Sample> samples;
-  {
-    std::lock_guard<std::mutex> lock(MetricsSyncMu());
-    SyncMetricsLocked();
-    samples = metrics::Registry::Default()->Collect();
+  const struct {
+    const char* name;
+    const char* help;
+    uint64_t value;
+  } own[] = {
+      {"geopriv_cache_basis_warm_reloads", "Bases restored from disk on load",
+       stats.basis_warm_reloads},
+      {"geopriv_cache_bytes", "Serialized size of live cache entries",
+       stats.bytes},
+      {"geopriv_cache_entries", "Live cache entries", stats.entries},
+      {"geopriv_cache_evictions", "Entries removed by the LRU bound",
+       stats.evictions},
+      {"geopriv_cache_hits", "Cache lookups served", stats.hits},
+      {"geopriv_cache_misses", "Cache misses that ran a solve", stats.misses},
+      {"geopriv_cache_pending_solves",
+       "Solves running or queued on the solver mutex", cache_.PendingSolves()},
+      {"geopriv_cache_persist_failures",
+       "Entries degraded to memory-only by a failed persist",
+       stats.persist_failures},
+      {"geopriv_cache_quarantined", "Corrupt files moved to quarantine/",
+       stats.quarantined},
+      {"geopriv_cache_shed", "Misses rejected by the admission cap",
+       stats.shed},
+      {"geopriv_cache_timeouts", "Cache calls that hit their deadline",
+       stats.timeouts},
+      {"geopriv_cache_warm_starts", "Misses seeded from a cached basis",
+       stats.warm_starts},
+      {"geopriv_ledger_consumers", "Consumers with a ledger account",
+       ledger_.size()},
+  };
+  std::vector<metrics::Sample> samples =
+      metrics::Registry::Default()->Collect();
+  for (const auto& metric : own) {
+    metrics::Sample sample;
+    sample.name = metric.name;
+    sample.help = metric.help;
+    sample.type = "gauge";
+    sample.value = static_cast<int64_t>(metric.value);
+    samples.push_back(std::move(sample));
   }
+  std::sort(samples.begin(), samples.end(),
+            [](const metrics::Sample& a, const metrics::Sample& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.labels < b.labels;
+            });
+  return samples;
+}
+
+std::string MechanismService::MetricsText() const {
+  return metrics::RenderPrometheus(CollectMetrics());
+}
+
+std::string MechanismService::MetricsJson() const {
   std::string out = "{\"op\":\"metrics\",\"ok\":true";
-  for (const metrics::Sample& sample : samples) {
+  for (const metrics::Sample& sample : CollectMetrics()) {
     const std::string key = FlatKey(sample);
     if (sample.type == "histogram") {
       out += ",\"" + key + "_count\":" + std::to_string(sample.count);

@@ -9,8 +9,8 @@
 // Batching over the wire: lines between {"op":"batch_begin"} and
 // {"op":"batch_end"} are buffered (each acknowledged with op "queued") and
 // executed as ONE pipeline batch at batch_end — grouped by signature,
-// solved once per distinct signature, budget-charged in arrival order,
-// sampled in parallel.  Queries outside a batch window execute
+// solved once per distinct signature, budget-charged and sampled in
+// arrival order.  Queries outside a batch window execute
 // immediately as a batch of one.
 //
 // Concurrency: the batch window is SESSION state, not service state.  Each
@@ -36,6 +36,7 @@
 #include "service/mechanism_cache.h"
 #include "service/protocol.h"
 #include "service/query_pipeline.h"
+#include "util/metrics.h"
 #include "util/result.h"
 
 namespace geopriv {
@@ -46,8 +47,7 @@ struct ServiceOptions {
   double budget_alpha = 0.0;
   /// Cache shard count.
   size_t shards = 8;
-  /// Worker threads for solves and sampling fan-out (0 defers to
-  /// GEOPRIV_THREADS, else serial).
+  /// Solver pool threads (0 defers to GEOPRIV_THREADS, else serial).
   int threads = 0;
   /// When non-empty: entries are loaded from here on LoadPersisted() and
   /// written back on Persist() (the daemon persists at shutdown/EOF).
@@ -167,15 +167,15 @@ class MechanismService {
   QueryPipeline& pipeline() { return pipeline_; }
   const ServiceOptions& options() const { return options_; }
 
-  /// Prometheus text exposition of the process metrics registry, with
-  /// this service's cache and ledger aggregates synced in first.  What
+  /// Prometheus text exposition of the process metrics registry merged
+  /// with this service's cache and ledger gauges (CollectMetrics).  What
   /// the HTTP GET /metrics endpoint serves.
-  std::string MetricsText();
+  std::string MetricsText() const;
 
-  /// The `metrics` protocol op's reply body: the same registry as one
+  /// The `metrics` protocol op's reply body: the same samples as one
   /// flat JSON line (labels flattened into key suffixes; histograms as
   /// their _count/_sum aggregates — buckets are Prometheus-only).
-  std::string MetricsJson();
+  std::string MetricsJson() const;
 
  private:
   /// Journals the accounts of every query in `queries[0..replies.size())`
@@ -186,11 +186,10 @@ class MechanismService {
                         const std::vector<ServiceReply>& replies,
                         uint64_t* unsynced);
 
-  /// Mirrors the cache/ledger aggregates into the process registry.
-  /// Caller must hold the process-wide metrics sync mutex (the stats and
-  /// metrics ops sync-then-read atomically so concurrent services cannot
-  /// interleave their snapshots).
-  void SyncMetricsLocked();
+  /// The process registry's snapshot plus this service's cache and ledger
+  /// values as gauges, read from one GetStats() call, sorted by
+  /// (name, labels).
+  std::vector<metrics::Sample> CollectMetrics() const;
 
   /// Emits one slow-query JSONL line when options_.slow_query_ms is set
   /// and `total_us` crosses it.
@@ -214,8 +213,8 @@ Status RunServeLoop(std::istream& in, std::ostream& out,
                     MechanismService& service);
 
 /// Serves the same protocol over TCP on 127.0.0.1:`port` (0 picks a free
-/// port) with the concurrent event-loop transport (event_loop.h: epoll
-/// with a poll fallback, per-connection batch windows, write
+/// port) with the concurrent event-loop transport (event_loop.h: epoll,
+/// per-connection batch windows, write
 /// backpressure, idle timer wheel, graceful drain, TCP_NODELAY replies).
 /// Announces "geopriv_serve listening on 127.0.0.1:<port>" on `announce`
 /// before accepting.  Returns after a shutdown request (persisting when

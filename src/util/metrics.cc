@@ -179,8 +179,7 @@ std::string FormatLabelsWith(const Labels& labels, const std::string& key,
 
 }  // namespace
 
-std::string Registry::RenderPrometheus() const {
-  const std::vector<Sample> samples = Collect();
+std::string RenderPrometheus(const std::vector<Sample>& samples) {
   std::string out;
   out.reserve(samples.size() * 96);
   const std::string* last_name = nullptr;

@@ -27,8 +27,8 @@
 //
 // Exposition: Registry::Collect() returns a consistent-enough snapshot
 // (each cell is read atomically; cross-metric skew is possible and fine
-// for monitoring), and RenderPrometheus() formats it in the Prometheus
-// text format, ready for a GET /metrics scrape.
+// for monitoring), and RenderPrometheus() formats a snapshot in the
+// Prometheus text format, ready for a GET /metrics scrape.
 
 #ifndef GEOPRIV_UTIL_METRICS_H_
 #define GEOPRIV_UTIL_METRICS_H_
@@ -195,9 +195,6 @@ class Registry {
   /// Snapshot of every registered metric, sorted by (name, labels).
   std::vector<Sample> Collect() const;
 
-  /// Prometheus text exposition format (version 0.0.4) of Collect().
-  std::string RenderPrometheus() const;
-
   /// The process-wide registry.
   static Registry* Default();
 
@@ -209,6 +206,10 @@ class Registry {
   mutable std::mutex mu_;
   std::vector<Entry*> entries_;
 };
+
+/// Prometheus text exposition format (version 0.0.4) of `samples`, which
+/// must be sorted by (name, labels) as Collect() returns them.
+std::string RenderPrometheus(const std::vector<Sample>& samples);
 
 }  // namespace metrics
 }  // namespace geopriv

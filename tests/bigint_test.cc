@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "exact/bigint.h"
@@ -212,6 +214,29 @@ TEST(BigIntTest, ToDoubleApproximation) {
   EXPECT_DOUBLE_EQ(BigInt(-5).ToDouble(), -5.0);
   double big = BigInt::Pow(BigInt(10), 30).ToDouble();
   EXPECT_NEAR(big, 1e30, 1e16);
+}
+
+TEST(BigIntTest, ToDoubleRoundsOnceToNearest) {
+  // 2^95 + 2^42 + 1: the ulp at 2^95 is 2^43, so the tail is just over
+  // half an ulp and the value rounds up.  Accumulating limb by limb
+  // rounded 2^63 + 2^10 to even first and lost the +1.
+  const BigInt two = BigInt(2);
+  const BigInt over_half =
+      BigInt::Pow(two, 95) + BigInt::Pow(two, 42) + BigInt(1);
+  EXPECT_EQ(over_half.ToDouble(), std::ldexp(1.0, 95) + std::ldexp(1.0, 43));
+  EXPECT_EQ((-over_half).ToDouble(),
+            -(std::ldexp(1.0, 95) + std::ldexp(1.0, 43)));
+  // An exact tie rounds to the even neighbor.
+  EXPECT_EQ((BigInt::Pow(two, 95) + BigInt::Pow(two, 42)).ToDouble(),
+            std::ldexp(1.0, 95));
+  EXPECT_EQ((BigInt::Pow(two, 95) + BigInt::Pow(two, 42) * BigInt(3))
+                .ToDouble(),
+            std::ldexp(1.0, 95) + std::ldexp(1.0, 44));
+  EXPECT_EQ(BigInt::Pow(BigInt(10), 22).ToDouble(), 1e22);
+  EXPECT_EQ(BigInt::Pow(BigInt(10), 400).ToDouble(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ((-BigInt::Pow(BigInt(10), 400)).ToDouble(),
+            -std::numeric_limits<double>::infinity());
 }
 
 TEST(BigIntTest, BitLength) {

@@ -4,9 +4,9 @@
 // raw blocking sockets so they control exactly which bytes hit the wire
 // and when: one-byte writes (reassembly), interleaved batch windows on
 // concurrent connections, an oversized line behind a valid one, a
-// slow-loris half line against the idle timer wheel, graceful drain, the
-// poll(2) fallback backend, and a send-fault that must drop one client
-// without touching the daemon or its neighbors.  The concurrency
+// slow-loris half line against the idle timer wheel, graceful drain, and
+// a send-fault that must drop one client without touching the daemon or
+// its neighbors.  The concurrency
 // bit-identity test pins the per-request seed contract: the reply SET for
 // a fixed query set is byte-identical whether it arrives over 1
 // connection or 32.
@@ -380,21 +380,6 @@ TEST_F(EventLoopTest, ShutdownDrainsAndClosesEveryConnection) {
   // The listener is gone: further connects are refused.
   Client late;
   EXPECT_FALSE(late.Connect(port_));
-}
-
-TEST_F(EventLoopTest, PollFallbackBackendServesTheSameProtocol) {
-  ::setenv("GEOPRIV_FORCE_POLL", "1", 1);
-  Start();
-  Client client;
-  ASSERT_TRUE(client.Connect(port_));
-  ASSERT_TRUE(client.SendLine(Query("alice", 11)));
-  EXPECT_NE(client.ReadLine().find("\"op\":\"query\",\"ok\":true"),
-            std::string::npos);
-  ASSERT_TRUE(client.SendLine("{\"op\":\"stats\"}"));
-  EXPECT_NE(client.ReadLine().find("\"op\":\"stats\",\"ok\":true"),
-            std::string::npos);
-  ShutdownAndJoin();
-  ::unsetenv("GEOPRIV_FORCE_POLL");
 }
 
 TEST_F(EventLoopTest, EvictionChurnNeverYieldsWrongOrLostReplies) {

@@ -168,18 +168,27 @@ TEST_F(FaultInjectionTest, SaveMechanismSurfacesInjectedFailure) {
 
 TEST_F(FaultInjectionTest, CacheSaveFailureLeavesLoadableDirectory) {
   const std::string dir = FreshDir("geopriv_fault_cache_fail");
-  MechanismCache cache;
+  CacheOptions options;
+  options.persist_dir = dir;
+  MechanismCache cache(options);
+  // A committed entry first, so the failing publish has a survivor to
+  // endanger.
   ASSERT_TRUE(
       cache.GetOrSolve(Sig(6, R(1, 2), "absolute", ServeMode::kGeometric))
           .ok());
-  // A committed entry first, so the failing re-save has a survivor to
-  // endanger.
-  ASSERT_TRUE(cache.SaveToDirectory(dir).ok());
+  ASSERT_EQ(cache.GetStats().persist_failures, 0u);
+  // The next entry's write fails at publish time: the entry degrades to
+  // memory-only, visibly, and the query is still answered.
   ASSERT_TRUE(fi::ArmFromSpec("cache.entry.write=fail").ok());
-  EXPECT_FALSE(cache.SaveToDirectory(dir).ok());
+  EXPECT_TRUE(
+      cache.GetOrSolve(Sig(6, R(1, 3), "absolute", ServeMode::kGeometric))
+          .ok());
   fi::Disarm();
-  // The failed rewrite left tmp debris at worst; the committed entry
-  // still loads bit-identically (load re-validates the matrix).
+  EXPECT_EQ(cache.GetStats().persist_failures, 1u);
+  EXPECT_EQ(cache.GetStats().entries, 2u);
+  // The committed entry still loads bit-identically (load re-validates
+  // the matrix), the failed one is not resurrected, and the reload leaves
+  // no tmp debris behind.
   MechanismCache reloaded;
   auto loaded = reloaded.LoadFromDirectory(dir);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -726,29 +735,6 @@ TEST_F(FaultInjectionTest, CachedOnlyModeShedsMissesAndServesHits) {
   // The shed query charged nothing.
   EXPECT_FALSE(replies[1].charged);
   EXPECT_EQ(ledger.Releases("alice"), 1u);
-}
-
-TEST_F(FaultInjectionTest, MaxBatchSolvesAdmitsOnlyTheFirstMissGroups) {
-  MechanismCache cache;
-  BudgetLedger ledger(0.0);
-  PipelineOptions options;
-  options.max_batch_solves = 1;
-  QueryPipeline pipeline(&cache, &ledger, options);
-
-  // Two distinct uncached signatures: solve order is (structure, alpha),
-  // so alpha=1/3 is admitted and alpha=1/2 is shed.
-  ServiceQuery a;
-  a.consumer = "alice";
-  a.signature = Sig(6, R(1, 3), "absolute", ServeMode::kGeometric);
-  a.true_count = 1;
-  ServiceQuery b = a;
-  b.signature = Sig(6, R(1, 2), "absolute", ServeMode::kGeometric);
-  const std::vector<ServiceReply> replies = pipeline.ExecuteBatch({b, a});
-  ASSERT_EQ(replies.size(), 2u);
-  EXPECT_TRUE(replies[1].status.ok()) << replies[1].status.ToString();
-  EXPECT_TRUE(replies[0].status.IsUnavailable());
-  EXPECT_STREQ(replies[0].cache, "shed");
-  EXPECT_GT(replies[0].retry_after_ms, 0);
 }
 
 // ---- batch warm-family ordering ---------------------------------------------

@@ -1,7 +1,7 @@
 // The metrics plane: registry primitives (bucket math, striped
 // concurrency, Prometheus exposition), the per-request trace fields on
-// query replies, the slow-query log, and the stats-op-reads-the-registry
-// unification.
+// query replies, the slow-query log, and the stats and metrics ops, which
+// read the cache's own counters at render time.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +69,7 @@ TEST(Exposition, PrometheusTextFormat) {
   h->Observe(1);
   h->Observe(3);
 
-  const std::string text = registry.RenderPrometheus();
+  const std::string text = metrics::RenderPrometheus(registry.Collect());
   // One HELP/TYPE pair per name, shared across label variants; samples
   // sorted by (name, labels).
   EXPECT_NE(text.find("# HELP t_requests_total Requests\n"
@@ -232,6 +232,89 @@ TEST(MetricsOp, ReportsRegistryAndAgreesWithStats) {
   EXPECT_NE(text.find("geopriv_cache_entries 1\n"), std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE geopriv_cache_solve_latency_us histogram"),
+            std::string::npos)
+      << text;
+}
+
+TEST(MetricsOp, StatsReplyKeepsTheLegacyKeyOrder) {
+  MechanismService service(ServiceOptions{});
+  bool shutdown = false;
+  (void)service.HandleLine(QueryLine(false), &shutdown);  // one cold solve
+  (void)service.HandleLine(QueryLine(false), &shutdown);  // one cache hit
+  const std::string expected =
+      "{\"op\":\"stats\",\"ok\":true,\"entries\":1,\"hits\":1,\"misses\":1,"
+      "\"warm_starts\":0,\"bytes\":" +
+      std::to_string(service.cache().GetStats().bytes) +
+      ",\"evictions\":0,\"quarantined\":0,\"basis_warm_reloads\":0,"
+      "\"persist_failures\":0}";
+  EXPECT_EQ(service.HandleLine("{\"op\":\"stats\"}", &shutdown), expected);
+  // The cache's own counters answer even with registry recording off.
+  metrics::SetEnabled(false);
+  const std::string disabled =
+      service.HandleLine("{\"op\":\"stats\"}", &shutdown);
+  metrics::SetEnabled(true);
+  EXPECT_EQ(disabled, expected);
+}
+
+TEST(MetricsOp, TwoServicesEachReportTheirOwnCache) {
+  // One process registry, two caches: every exposition path reads the
+  // cache of the service it is asked through.
+  MechanismService one(ServiceOptions{});
+  MechanismService two(ServiceOptions{});
+  bool shutdown = false;
+  (void)one.HandleLine(QueryLine(false), &shutdown);
+  (void)two.HandleLine(QueryLine(false), &shutdown);
+  (void)two.HandleLine(QueryLine(false), &shutdown);
+  (void)two.HandleLine(
+      "{\"op\":\"query\",\"consumer\":\"bob\",\"n\":4,\"alpha\":\"1/2\","
+      "\"count\":1,\"seed\":3}",
+      &shutdown);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_NE(one.HandleLine("{\"op\":\"stats\"}", &shutdown)
+                  .find("\"entries\":1,\"hits\":0,\"misses\":1"),
+              std::string::npos);
+    EXPECT_NE(two.HandleLine("{\"op\":\"stats\"}", &shutdown)
+                  .find("\"entries\":2,\"hits\":1,\"misses\":2"),
+              std::string::npos);
+    const std::string json_one =
+        one.HandleLine("{\"op\":\"metrics\"}", &shutdown);
+    const std::string json_two =
+        two.HandleLine("{\"op\":\"metrics\"}", &shutdown);
+    EXPECT_NE(json_one.find("\"geopriv_cache_entries\":1,"), std::string::npos)
+        << json_one;
+    EXPECT_NE(json_one.find("\"geopriv_ledger_consumers\":1,"),
+              std::string::npos)
+        << json_one;
+    EXPECT_NE(json_two.find("\"geopriv_cache_entries\":2,"), std::string::npos)
+        << json_two;
+    EXPECT_NE(json_two.find("\"geopriv_ledger_consumers\":2,"),
+              std::string::npos)
+        << json_two;
+    EXPECT_NE(one.MetricsText().find("\ngeopriv_cache_hits 0\n"),
+              std::string::npos);
+    EXPECT_NE(two.MetricsText().find("\ngeopriv_cache_hits 1\n"),
+              std::string::npos);
+  }
+}
+
+TEST(MetricsOp, ServiceGaugesMergeIntoTheRegistryOrder) {
+  MechanismService service(ServiceOptions{});
+  bool shutdown = false;
+  (void)service.HandleLine(QueryLine(false), &shutdown);
+  const std::string text = service.MetricsText();
+  // The cache's gauges interleave with its registry histogram by name,
+  // each under exactly one HELP/TYPE header.
+  const size_t shed = text.find("# HELP geopriv_cache_shed ");
+  const size_t solve = text.find("# HELP geopriv_cache_solve_latency_us ");
+  const size_t timeouts = text.find("# HELP geopriv_cache_timeouts ");
+  ASSERT_NE(shed, std::string::npos) << text;
+  ASSERT_NE(solve, std::string::npos) << text;
+  ASSERT_NE(timeouts, std::string::npos) << text;
+  EXPECT_LT(shed, solve);
+  EXPECT_LT(solve, timeouts);
+  EXPECT_EQ(text.find("# TYPE geopriv_cache_shed gauge"),
+            text.rfind("# TYPE geopriv_cache_shed gauge"));
+  EXPECT_NE(text.find("# TYPE geopriv_cache_hits gauge\ngeopriv_cache_hits 0\n"),
             std::string::npos)
       << text;
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+
 #include "exact/rational.h"
 #include "rng/engine.h"
 
@@ -89,6 +94,97 @@ TEST(RationalTest, ComparisonCrossMultiplies) {
 TEST(RationalTest, ToDoubleMatches) {
   EXPECT_DOUBLE_EQ(Rational::FromInts(1, 4)->ToDouble(), 0.25);
   EXPECT_DOUBLE_EQ(Rational::FromInts(-7, 2)->ToDouble(), -3.5);
+}
+
+// The exact value of a finite double.
+Rational ExactValue(double d) {
+  int exponent = 0;
+  const double fraction = std::frexp(d, &exponent);
+  const int64_t mantissa = static_cast<int64_t>(std::ldexp(fraction, 53));
+  exponent -= 53;
+  const Rational scale(BigInt::Pow(BigInt(2), std::abs(exponent)));
+  return exponent >= 0 ? Rational(mantissa) * scale
+                       : *Rational::Divide(Rational(mantissa), scale);
+}
+
+// True when `d` is a double nearest to `r`: no neighbor of d is closer,
+// compared exactly.
+bool IsNearestDouble(const Rational& r, double d) {
+  if (!std::isfinite(d)) return false;
+  const Rational error = (r - ExactValue(d)).Abs();
+  for (double neighbor :
+       {std::nextafter(d, -std::numeric_limits<double>::infinity()),
+        std::nextafter(d, std::numeric_limits<double>::infinity())}) {
+    if (std::isfinite(neighbor) &&
+        (r - ExactValue(neighbor)).Abs() < error) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(RationalTest, ToDoubleSurvivesHugeNumeratorAndDenominator) {
+  // (9/10)^400: both sides pass 1e308, the value is ~4.97e-19.
+  const Rational power = *Rational::FromInts(9, 10)->Pow(400);
+  const double d = power.ToDouble();
+  EXPECT_NEAR(d, 4.97e-19, 0.01e-19);
+  EXPECT_TRUE(IsNearestDouble(power, d));
+  // huge/huge close to 1/3.
+  const BigInt big = BigInt::Pow(BigInt(10), 400);
+  const Rational third = *Rational::Create(big + BigInt(1), big * BigInt(3));
+  EXPECT_EQ(third.ToDouble(), 1.0 / 3.0);
+  EXPECT_EQ((-third).ToDouble(), -1.0 / 3.0);
+  EXPECT_TRUE(IsNearestDouble(third, third.ToDouble()));
+  // Beyond double range either way.
+  EXPECT_EQ(Rational(big).ToDouble(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ((*Rational::Create(BigInt(1), big)).ToDouble(), 0.0);
+}
+
+TEST(RationalTest, ToDoubleRoundsIntoTheSubnormals) {
+  const BigInt two = BigInt(2);
+  const double min_sub = std::numeric_limits<double>::denorm_min();
+  const Rational seven_e310 =
+      *Rational::Create(BigInt(7), BigInt::Pow(BigInt(10), 310));
+  EXPECT_EQ(seven_e310.ToDouble(), 7e-310);
+  EXPECT_TRUE(IsNearestDouble(seven_e310, seven_e310.ToDouble()));
+  EXPECT_EQ(Rational::Create(BigInt(1), BigInt::Pow(two, 1074))->ToDouble(),
+            min_sub);
+  // 1.5 and 0.5 smallest subnormals: ties round to the even neighbor.
+  EXPECT_EQ(Rational::Create(BigInt(3), BigInt::Pow(two, 1075))->ToDouble(),
+            2 * min_sub);
+  EXPECT_EQ(Rational::Create(BigInt(1), BigInt::Pow(two, 1075))->ToDouble(),
+            0.0);
+  // Just above the 0.5 tie rounds up.
+  EXPECT_EQ(Rational::Create(BigInt::Pow(two, 1000) + BigInt(1),
+                             BigInt::Pow(two, 2075))
+                ->ToDouble(),
+            min_sub);
+}
+
+TEST(RationalTest, ToDoubleIsTheNearestDouble) {
+  Xoshiro256 rng(2024);
+  auto random_bigint = [&rng](int limbs) {
+    BigInt value(0);
+    for (int i = 0; i < limbs; ++i) {
+      value = value * BigInt(int64_t{1} << 32) +
+              BigInt(static_cast<int64_t>(rng.Next() >> 32));
+    }
+    return value + BigInt(1);
+  };
+  // Up to 31 limbs (992 bits) a side: past double range in both numerator
+  // and denominator, while every quotient stays a normal double.
+  for (int trial = 0; trial < 300; ++trial) {
+    const int num_limbs = 1 + static_cast<int>(rng.Next() % 31);
+    const int den_limbs = 1 + static_cast<int>(rng.Next() % 31);
+    BigInt num = random_bigint(num_limbs);
+    if (rng.Next() % 2 == 0) num = -num;
+    const Rational r = *Rational::Create(num, random_bigint(den_limbs));
+    const double d = r.ToDouble();
+    EXPECT_TRUE(IsNearestDouble(r, d)) << r.ToString() << " -> " << d;
+  }
+  // Small operands take the division fast path, which is exact IEEE.
+  EXPECT_EQ(Rational::FromInts(9, 10)->ToDouble(), 9.0 / 10.0);
+  EXPECT_TRUE(IsNearestDouble(*Rational::FromInts(9, 10), 0.9));
 }
 
 TEST(RationalTest, FieldAxiomsRandomized) {

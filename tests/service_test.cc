@@ -210,12 +210,15 @@ TEST(MechanismCacheTest, PersistsAndReloadsBitIdentically) {
 
   RationalMatrix original(0, 0);
   {
-    MechanismCache cache;
+    // Entries persist at publish time: solving them is saving them.
+    CacheOptions options;
+    options.persist_dir = dir;
+    MechanismCache cache(options);
     auto lp_entry = cache.GetOrSolve(exact_sig);
     ASSERT_TRUE(lp_entry.ok());
     original = (*lp_entry)->exact;
     ASSERT_TRUE(cache.GetOrSolve(geo_sig).ok());
-    ASSERT_TRUE(cache.SaveToDirectory(dir).ok());
+    EXPECT_EQ(cache.GetStats().persist_failures, 0u);
   }
 
   MechanismCache reloaded;
@@ -396,9 +399,11 @@ TEST(MechanismCacheTest, RefusesAnEntryWhoseStoredKeyWasTampered) {
   const MechanismSignature sig =
       Sig(3, R(1, 2), "absolute", ServeMode::kGeometric);
   {
-    MechanismCache cache;
+    CacheOptions options;
+    options.persist_dir = root + "/saved";
+    MechanismCache cache(options);
     ASSERT_TRUE(cache.GetOrSolve(sig).ok());
-    ASSERT_TRUE(cache.SaveToDirectory(root + "/saved").ok());
+    ASSERT_EQ(cache.GetStats().persist_failures, 0u);
   }
   fs::path saved_entry;
   for (const auto& dirent : fs::directory_iterator(root + "/saved")) {
@@ -605,7 +610,7 @@ std::vector<ServiceQuery> RepeatedSignatureBatch(size_t count) {
 
 TEST(QueryPipelineTest, BatchSolvesEachSignatureOnce) {
   MechanismCache cache;
-  QueryPipeline pipeline(&cache, nullptr, 1);
+  QueryPipeline pipeline(&cache, nullptr);
   const std::vector<ServiceReply> replies =
       pipeline.ExecuteBatch(RepeatedSignatureBatch(16));
   ASSERT_EQ(replies.size(), 16u);
@@ -618,42 +623,31 @@ TEST(QueryPipelineTest, BatchSolvesEachSignatureOnce) {
   EXPECT_EQ(cache.GetStats().hits, 0u);
 }
 
-TEST(QueryPipelineTest, SamplingIsDeterministicForEveryThreadCount) {
-  const std::vector<ServiceQuery> batch = RepeatedSignatureBatch(32);
-  std::vector<int> serial_released;
-  {
-    MechanismCache cache;
-    QueryPipeline pipeline(&cache, nullptr, 1);
-    for (const ServiceReply& reply : pipeline.ExecuteBatch(batch)) {
-      ASSERT_TRUE(reply.status.ok());
-      serial_released.push_back(reply.released);
-    }
-  }
-  for (int threads : {2, 8}) {
-    MechanismCache cache;
-    QueryPipeline pipeline(&cache, nullptr, threads);
-    const std::vector<ServiceReply> replies = pipeline.ExecuteBatch(batch);
-    for (size_t q = 0; q < batch.size(); ++q) {
-      ASSERT_TRUE(replies[q].status.ok());
-      EXPECT_EQ(replies[q].released, serial_released[q])
-          << "threads=" << threads << " q=" << q;
-    }
-  }
+TEST(QueryPipelineTest, EveryReleaseEqualsADirectSampleFromItsSeed) {
   // The per-request seed fully determines each sample: drawing directly
-  // from the mechanism with the same seed reproduces the pipeline.
+  // from the mechanism with a query's own seed reproduces its release,
+  // for every query of the batch (the batched kernel's row groups and the
+  // scalar oracle must agree lane by lane).
+  const std::vector<ServiceQuery> batch = RepeatedSignatureBatch(32);
   MechanismCache cache;
-  auto entry = cache.GetOrSolve(batch[0].signature);
-  ASSERT_TRUE(entry.ok());
-  Xoshiro256 rng(batch[0].seed);
-  auto direct = (*entry)->mechanism.Sample(batch[0].true_count, rng);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(*direct, serial_released[0]);
+  QueryPipeline pipeline(&cache, nullptr);
+  const std::vector<ServiceReply> replies = pipeline.ExecuteBatch(batch);
+  ASSERT_EQ(replies.size(), batch.size());
+  for (size_t q = 0; q < batch.size(); ++q) {
+    ASSERT_TRUE(replies[q].status.ok()) << replies[q].status.ToString();
+    auto entry = cache.GetOrSolve(batch[q].signature);
+    ASSERT_TRUE(entry.ok());
+    Xoshiro256 rng(batch[q].seed);
+    auto direct = (*entry)->mechanism.Sample(batch[q].true_count, rng);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(replies[q].released, *direct) << "q=" << q;
+  }
 }
 
 TEST(QueryPipelineTest, OverBudgetQueriesAreRejectedWithComposedLevel) {
   MechanismCache cache;
   BudgetLedger ledger(0.25);
-  QueryPipeline pipeline(&cache, &ledger, 1);
+  QueryPipeline pipeline(&cache, &ledger);
   std::vector<ServiceQuery> batch;
   for (int q = 0; q < 3; ++q) {
     ServiceQuery query;
@@ -676,7 +670,7 @@ TEST(QueryPipelineTest, OverBudgetQueriesAreRejectedWithComposedLevel) {
 TEST(QueryPipelineTest, OverBudgetConsumerCannotForceFreshSolves) {
   MechanismCache cache;
   BudgetLedger ledger(0.5);
-  QueryPipeline pipeline(&cache, &ledger, 1);
+  QueryPipeline pipeline(&cache, &ledger);
   ASSERT_TRUE(ledger.Charge("mallory", 0.5).ok());  // now exactly at the floor
 
   ServiceQuery query;
