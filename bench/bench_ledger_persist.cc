@@ -11,6 +11,10 @@
 // Compact is one snapshot rewrite (write, fsync, rename, directory fsync)
 // — the O(consumers) work the service used to do on every charged reply.
 //
+// Load is a restart's ledger replay: LedgerStore::Load of the compacted
+// snapshot into a fresh ledger — what the daemon does before it answers
+// anything.
+//
 // The state lives under the system temp directory; point TMPDIR at the
 // disk whose sync cost you want to measure (tmpfs makes syncs free).
 
@@ -72,6 +76,15 @@ void RunAtSize(bench::Harness& harness, size_t consumers) {
       },
       {/*repetitions=*/5, /*warmup=*/1, /*min_rep_ms=*/0.0,
        /*budget_ms=*/-1.0});
+  // The last compaction left only the snapshot: every account, no journal.
+  harness.Run("Load" + label, [&] {
+    BudgetLedger loaded;
+    LedgerStore reader(&loaded, dir);
+    if (!reader.Load().ok() || loaded.size() != consumers) {
+      std::fprintf(stderr, "ledger load failed\n");
+      std::exit(1);
+    }
+  });
   fs::remove_all(dir);
 }
 

@@ -1,6 +1,7 @@
 #include "service/budget_ledger.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/accounting.h"
 
@@ -169,23 +170,18 @@ std::vector<BudgetLedger::AccountSnapshot> BudgetLedger::Snapshot() const {
   return out;
 }
 
-Status BudgetLedger::Restore(const std::vector<AccountSnapshot>& accounts) {
-  for (const AccountSnapshot& account : accounts) {
+Status BudgetLedger::Restore(Accounts accounts) {
+  for (const auto& [consumer, account] : accounts) {
     if (!(account.independent_level >= 0.0 &&
           account.independent_level <= 1.0 &&
           account.chained_level >= 0.0 && account.chained_level <= 1.0)) {
       return Status::InvalidArgument(
           "persisted ledger holds a level outside [0, 1] for consumer '" +
-          account.consumer + "'");
+          consumer + "'");
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
-  accounts_.clear();
-  for (const AccountSnapshot& account : accounts) {
-    accounts_[account.consumer] = {
-        account.independent_level, account.independent_releases,
-        account.chained_level, account.chained_releases};
-  }
+  accounts_ = std::move(accounts);
   return Status::OK();
 }
 

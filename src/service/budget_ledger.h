@@ -106,18 +106,21 @@ class BudgetLedger {
   /// and cumulative epsilon would be unbounded across restarts.
   std::vector<AccountSnapshot> Snapshot() const;
 
-  /// Replaces the ledger's state with `accounts`.  Fails (leaving the
-  /// ledger untouched) when any recorded level is outside [0, 1].
-  Status Restore(const std::vector<AccountSnapshot>& accounts);
-
- private:
+  /// One consumer's running aggregates, as the ledger keeps them.
   struct Account {
     double independent_level = 1.0;
     uint64_t independent_releases = 0;
     double chained_level = 1.0;
     uint64_t chained_releases = 0;
   };
+  using Accounts = std::unordered_map<std::string, Account>;
 
+  /// Makes `accounts` the ledger's state (moved in, not copied).  Fails
+  /// (leaving the ledger untouched) when any recorded level is outside
+  /// [0, 1].
+  Status Restore(Accounts accounts);
+
+ private:
   /// The account's per-stream levels with the proposed alpha folded into
   /// the selected stream (no fold when alpha < 0).  The admission check
   /// AND the state recorded on success both come from this one

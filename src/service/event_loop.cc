@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -628,6 +629,10 @@ class EventLoopServer {
           conn.oversized = true;
           break;
         }
+        // A short read drained the socket.  The poller is level-triggered,
+        // so bytes that arrive later, and EOF, wake the loop again; a
+        // second recv here would only return EAGAIN.
+        if (static_cast<size_t>(k) < sizeof(chunk)) break;
         continue;
       }
       if (k == 0) {
@@ -658,15 +663,21 @@ class EventLoopServer {
       ProcessHttp(*conn);
       return;
     }
+    // Each line is parsed where it sits in the inbox; the answered prefix
+    // is erased once, after the loop.  Nothing appends to the inbox while
+    // a line is handled, so the view stays valid for its parse.
+    size_t consumed = 0;
     while (!conn->busy && !conn->doomed && !conn->closing && !draining_) {
-      const size_t newline = conn->inbox.find('\n');
+      const size_t newline = conn->inbox.find('\n', consumed);
       if (newline == std::string::npos) break;
-      std::string line = conn->inbox.substr(0, newline);
-      conn->inbox.erase(0, newline + 1);
+      const std::string_view line(conn->inbox.data() + consumed,
+                                  newline - consumed);
+      consumed = newline + 1;
       HandleLine(*conn, line);
       conn = FindConn(fd);
       if (conn == nullptr) return;
     }
+    conn->inbox.erase(0, consumed);
     // The oversized-line error goes out only after every complete line
     // ahead of it was answered.
     if (conn->oversized && !conn->busy && !conn->doomed && !conn->closing) {
@@ -740,9 +751,9 @@ class EventLoopServer {
     if (!FlushOutbox(conn)) conn.doomed = true;
   }
 
-  void HandleLine(Connection& conn, const std::string& line) {
+  void HandleLine(Connection& conn, std::string_view line) {
     // Blank lines are keep-alives, not requests.
-    if (line.find_first_not_of(" \t\r\n") == std::string::npos) return;
+    if (line.find_first_not_of(" \t\r\n") == std::string_view::npos) return;
     Stopwatch parse_watch;
     Result<ServiceRequest> request = ParseRequestLine(line);
     if (!request.ok()) {

@@ -1,11 +1,11 @@
 #include "service/ledger_store.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 
 #include <fcntl.h>
@@ -53,28 +53,22 @@ struct LedgerMetrics {
 };
 
 // The one account-line format of both files: a flat JSON object with the
-// account's running composition aggregates, through the same flat-JSON
-// code path the wire protocol uses.
+// account's running composition aggregates, written by the reply path's
+// writers and read back by its reader (service/protocol.h).
 void AppendAccountLine(const BudgetLedger::AccountSnapshot& account,
                        std::string* out) {
-  char buf[64];
-  *out += "{\"consumer\":\"" + JsonEscape(account.consumer) + "\"";
-  std::snprintf(buf, sizeof(buf), ",\"level\":%.17g",
-                account.independent_level);
-  *out += buf;
-  *out += ",\"releases\":" + std::to_string(account.independent_releases);
-  std::snprintf(buf, sizeof(buf), ",\"chained_level\":%.17g",
-                account.chained_level);
-  *out += buf;
-  *out += ",\"chained_releases\":" +
-          std::to_string(account.chained_releases) + "}\n";
+  *out += "{\"consumer\":\"";
+  AppendJsonEscaped(account.consumer, out);
+  *out += "\",\"level\":";
+  AppendJsonDouble(account.independent_level, out);
+  *out += ",\"releases\":";
+  AppendJsonInt(account.independent_releases, out);
+  *out += ",\"chained_level\":";
+  AppendJsonDouble(account.chained_level, out);
+  *out += ",\"chained_releases\":";
+  AppendJsonInt(account.chained_releases, out);
+  *out += "}\n";
 }
-
-// Accounts accumulated while loading, one entry per consumer.
-struct LoadedAccounts {
-  std::vector<BudgetLedger::AccountSnapshot> list;
-  std::unordered_map<std::string, size_t> index;
-};
 
 // Parses one account line and folds it into `accounts`.  A consumer seen
 // before (a journal record over its snapshot line, a later record over an
@@ -82,30 +76,40 @@ struct LoadedAccounts {
 // field: levels only fall and release counts only rise as budget is
 // spent, so min level / max count can over-charge but never under-charge
 // — the only safe direction for a privacy floor.
-Status MergeAccountLine(const std::string& line, LoadedAccounts* accounts) {
-  GEOPRIV_ASSIGN_OR_RETURN(JsonObject object, JsonObject::Parse(line));
-  BudgetLedger::AccountSnapshot account;
-  GEOPRIV_ASSIGN_OR_RETURN(account.consumer, object.GetString("consumer"));
+Status MergeAccountLine(std::string_view line,
+                        BudgetLedger::Accounts* accounts) {
+  enum Field {
+    kConsumer, kLevel, kReleases, kChainedLevel, kChainedReleases,
+    kFieldCount
+  };
+  static constexpr std::array<std::string_view, kFieldCount> kNames = {
+      "consumer", "level", "releases", "chained_level", "chained_releases"};
+  std::array<JsonSlot, kFieldCount> fields;
+  GEOPRIV_RETURN_IF_ERROR(ReadFlatJson(line, kNames, &fields));
+  std::string scratch;
+  GEOPRIV_ASSIGN_OR_RETURN(
+      const std::string_view consumer,
+      JsonString(kNames[kConsumer], fields[kConsumer], &scratch));
+  BudgetLedger::Account account;
   GEOPRIV_ASSIGN_OR_RETURN(account.independent_level,
-                           object.GetDouble("level"));
-  GEOPRIV_ASSIGN_OR_RETURN(int64_t releases, object.GetInt("releases"));
-  GEOPRIV_ASSIGN_OR_RETURN(account.chained_level,
-                           object.GetDouble("chained_level"));
-  GEOPRIV_ASSIGN_OR_RETURN(int64_t chained_releases,
-                           object.GetInt("chained_releases"));
+                           JsonDouble(kNames[kLevel], fields[kLevel]));
+  GEOPRIV_ASSIGN_OR_RETURN(const int64_t releases,
+                           JsonInt(kNames[kReleases], fields[kReleases]));
+  GEOPRIV_ASSIGN_OR_RETURN(
+      account.chained_level,
+      JsonDouble(kNames[kChainedLevel], fields[kChainedLevel]));
+  GEOPRIV_ASSIGN_OR_RETURN(
+      const int64_t chained_releases,
+      JsonInt(kNames[kChainedReleases], fields[kChainedReleases]));
   if (releases < 0 || chained_releases < 0) {
     return Status::InvalidArgument("negative release count for consumer '" +
-                                   account.consumer + "'");
+                                   std::string(consumer) + "'");
   }
   account.independent_releases = static_cast<uint64_t>(releases);
   account.chained_releases = static_cast<uint64_t>(chained_releases);
-  auto [it, inserted] =
-      accounts->index.emplace(account.consumer, accounts->list.size());
-  if (inserted) {
-    accounts->list.push_back(std::move(account));
-    return Status::OK();
-  }
-  BudgetLedger::AccountSnapshot& kept = accounts->list[it->second];
+  auto [it, inserted] = accounts->try_emplace(std::string(consumer), account);
+  if (inserted) return Status::OK();
+  BudgetLedger::Account& kept = it->second;
   kept.independent_level =
       std::min(kept.independent_level, account.independent_level);
   kept.independent_releases =
@@ -116,28 +120,93 @@ Status MergeAccountLine(const std::string& line, LoadedAccounts* accounts) {
   return Status::OK();
 }
 
-bool IsBlank(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
+bool IsBlank(std::string_view line) {
+  return line.find_first_not_of(" \t\r") == std::string_view::npos;
 }
 
-Status LoadSnapshot(std::istream& in, LoadedAccounts* accounts) {
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty ledger file");
+// Hands each line of `path` (without its '\n') to on_line(line,
+// terminated), reading fixed 64 KiB chunks: memory holds one chunk plus
+// the longest line, never the whole file.  Only a final segment without
+// '\n' has terminated == false.  A missing file is an empty one
+// (*exists = false); any other open or read error fails, since a ledger
+// read short would forget spent budget.  *bytes counts what was read.
+template <typename OnLine>
+Status ForEachLine(const std::string& path, bool* exists, uint64_t* bytes,
+                   OnLine&& on_line) {
+  constexpr size_t kChunk = 64 * 1024;
+  *exists = false;
+  *bytes = 0;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::OK();
+    return Errno("cannot open", path);
   }
-  GEOPRIV_ASSIGN_OR_RETURN(JsonObject header, JsonObject::Parse(line));
-  GEOPRIV_ASSIGN_OR_RETURN(std::string version, header.GetString("ledger"));
-  if (version != kLedgerHeader) {
-    return Status::InvalidArgument("unknown ledger version '" + version +
-                                   "'");
+  *exists = true;
+  std::vector<char> buf(kChunk);
+  size_t held = 0;  // buf[0, held): the start of a line not yet ended
+  Status status;
+  for (;;) {
+    // One line longer than the buffer grows it.
+    if (held == buf.size()) buf.resize(2 * buf.size());
+    const ssize_t k = ::read(fd, buf.data() + held, buf.size() - held);
+    if (k < 0) {
+      if (errno == EINTR) continue;
+      status = Errno("cannot read", path);
+      break;
+    }
+    if (k == 0) break;
+    *bytes += static_cast<uint64_t>(k);
+    const char* line = buf.data();
+    const char* const end = buf.data() + held + k;
+    const char* scan = buf.data() + held;  // the held bytes hold no '\n'
+    while (const char* newline = static_cast<const char*>(
+               std::memchr(scan, '\n', static_cast<size_t>(end - scan)))) {
+      status = on_line(
+          std::string_view(line, static_cast<size_t>(newline - line)), true);
+      if (!status.ok()) break;
+      line = scan = newline + 1;
+    }
+    if (!status.ok()) break;
+    held = static_cast<size_t>(end - line);
+    std::memmove(buf.data(), line, held);
   }
-  // A torn/unparseable line is a hard error, never skipped: this file is
-  // the budget floor's memory, and guessing at damaged accounting could
-  // only err toward admitting releases the floor should refuse.
-  while (std::getline(in, line)) {
-    if (IsBlank(line)) continue;
-    GEOPRIV_RETURN_IF_ERROR(MergeAccountLine(line, accounts));
+  ::close(fd);
+  if (status.ok() && held > 0) {
+    status = on_line(std::string_view(buf.data(), held), false);
   }
+  return status;
+}
+
+// The snapshot: a header line, then account lines.  A torn or
+// unparseable line is a hard error, never skipped: this file is the
+// budget floor's memory, and guessing at damaged accounting could only
+// err toward admitting releases the floor should refuse.
+Status LoadSnapshot(const std::string& path, BudgetLedger::Accounts* accounts,
+                    uint64_t* bytes) {
+  bool exists = false;
+  bool header = true;
+  GEOPRIV_RETURN_IF_ERROR(ForEachLine(
+      path, &exists, bytes, [&](std::string_view line, bool) -> Status {
+        if (!header) {
+          return IsBlank(line) ? Status::OK()
+                               : MergeAccountLine(line, accounts);
+        }
+        header = false;
+        static constexpr std::array<std::string_view, 1> kHeader = {
+            "ledger"};
+        std::array<JsonSlot, 1> fields;
+        GEOPRIV_RETURN_IF_ERROR(ReadFlatJson(line, kHeader, &fields));
+        std::string scratch;
+        GEOPRIV_ASSIGN_OR_RETURN(
+            const std::string_view version,
+            JsonString(kHeader[0], fields[0], &scratch));
+        if (version != kLedgerHeader) {
+          return Status::InvalidArgument("unknown ledger version '" +
+                                         std::string(version) + "'");
+        }
+        return Status::OK();
+      }));
+  if (exists && header) return Status::InvalidArgument("empty ledger file");
   return Status::OK();
 }
 
@@ -145,17 +214,18 @@ Status LoadSnapshot(std::istream& in, LoadedAccounts* accounts) {
 // of the whole-record prefix.  Only a final segment without '\n' — an
 // append that never completed, so was never synced or answered — is
 // dropped; every line that ends in '\n' must parse.
-Status ReplayJournal(std::istream& in, LoadedAccounts* accounts,
-                     uint64_t* committed) {
-  std::string line;
-  while (std::getline(in, line)) {
-    if (in.eof()) break;  // no terminating '\n': the unacknowledged tail
-    if (!IsBlank(line)) {
-      GEOPRIV_RETURN_IF_ERROR(MergeAccountLine(line, accounts));
-    }
-    *committed += line.size() + 1;
-  }
-  return Status::OK();
+Status ReplayJournal(const std::string& path,
+                     BudgetLedger::Accounts* accounts, uint64_t* committed,
+                     uint64_t* bytes) {
+  bool exists = false;
+  *committed = 0;
+  return ForEachLine(path, &exists, bytes,
+                     [&](std::string_view line, bool terminated) -> Status {
+                       if (!terminated) return Status::OK();
+                       *committed += line.size() + 1;
+                       return IsBlank(line) ? Status::OK()
+                                            : MergeAccountLine(line, accounts);
+                     });
 }
 
 }  // namespace
@@ -180,32 +250,20 @@ Status LedgerStore::Load() {
   // newer snapshot.
   std::error_code ec;
   std::filesystem::remove(snapshot_path_ + ".tmp", ec);
-  LoadedAccounts accounts;
-  {
-    std::ifstream in(snapshot_path_);
-    if (in) {
-      Status parsed = LoadSnapshot(in, &accounts);
-      if (!parsed.ok()) {
-        return Status::InvalidArgument(snapshot_path_ + ": " +
-                                       parsed.message());
-      }
-      snapshot_bytes_ = std::filesystem::file_size(snapshot_path_, ec);
-      if (ec) snapshot_bytes_ = 0;
-    }
+  BudgetLedger::Accounts accounts;
+  uint64_t snapshot_bytes = 0;
+  Status loaded = LoadSnapshot(snapshot_path_, &accounts, &snapshot_bytes);
+  if (!loaded.ok()) {
+    return Status::InvalidArgument(snapshot_path_ + ": " + loaded.message());
   }
   uint64_t committed = 0;
-  {
-    std::ifstream in(journal_path_);
-    if (in) {
-      Status replayed = ReplayJournal(in, &accounts, &committed);
-      if (!replayed.ok()) {
-        return Status::InvalidArgument(journal_path_ + ": " +
-                                       replayed.message());
-      }
-    }
+  uint64_t journal_size = 0;
+  loaded = ReplayJournal(journal_path_, &accounts, &committed, &journal_size);
+  if (!loaded.ok()) {
+    return Status::InvalidArgument(journal_path_ + ": " + loaded.message());
   }
-  const uint64_t size = std::filesystem::file_size(journal_path_, ec);
-  if (!ec && size > committed) {
+  snapshot_bytes_ = snapshot_bytes;
+  if (journal_size > committed) {
     // Cut the torn tail now: a record appended behind it would turn it
     // into a bad '\n'-terminated line and fail the next load.
     GEOPRIV_RETURN_IF_ERROR(OpenJournalLocked());
@@ -218,7 +276,7 @@ Status LedgerStore::Load() {
     LedgerMetrics::Get().journal_bytes->Set(
         static_cast<int64_t>(journal_bytes_));
   }
-  return ledger_->Restore(accounts.list);
+  return ledger_->Restore(std::move(accounts));
 }
 
 Status LedgerStore::OpenJournalLocked() {

@@ -346,6 +346,7 @@ Result<std::shared_ptr<const ServedMechanism>> MechanismCache::GetOrSolve(
   // artifact); the query still succeeds.
   std::shared_ptr<const ServedMechanism> entry;
   size_t entry_bytes = 0;
+  bool persisted = false;  // only persisted files may be manifested
   if (solved.ok()) {
     entry = std::make_shared<const ServedMechanism>(std::move(*solved));
     RecordSolveMetrics(*entry, solve_watch.ElapsedMicros());
@@ -356,9 +357,9 @@ Result<std::shared_ptr<const ServedMechanism>> MechanismCache::GetOrSolve(
         entry_bytes += SerializeBasisDoc(key, entry->basis.basic_columns)
                            .size();
       }
-      const Status persisted =
-          PersistEntryFiles(options_.persist_dir, *entry, serialized);
-      if (!persisted.ok()) {
+      persisted =
+          PersistEntryFiles(options_.persist_dir, *entry, serialized).ok();
+      if (!persisted) {
         // Memory-only degradation (see comment above), but visibly so.
         persist_failures_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -389,7 +390,7 @@ Result<std::shared_ptr<const ServedMechanism>> MechanismCache::GetOrSolve(
     shard.entries.emplace(key, std::move(slot));
     bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
   }
-  if (!options_.persist_dir.empty()) ManifestAdd(HashStem(entry->signature));
+  if (persisted) ManifestAdd(HashStem(entry->signature));
   MaybeEvict();
   return entry;
 }

@@ -1,9 +1,9 @@
 #include "service/protocol.h"
 
-#include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cstdlib>
+#include <forward_list>
+#include <unordered_set>
 #include <utility>
 
 #include "util/metrics.h"
@@ -13,248 +13,335 @@ namespace geopriv {
 
 namespace {
 
-// Cursor over the request line; the parse functions advance `pos`.
-struct Cursor {
-  const std::string& text;
-  size_t pos = 0;
+// isspace() in the "C" locale: ' ', \t, \n, \v, \f, \r.
+bool IsJsonSpace(char ch) { return ch == ' ' || (ch >= '\t' && ch <= '\r'); }
 
-  void SkipSpace() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
+int HexValue(char ch) {
+  if (ch >= '0' && ch <= '9') return ch - '0';
+  if (ch >= 'a' && ch <= 'f') return ch - 'a' + 10;
+  if (ch >= 'A' && ch <= 'F') return ch - 'A' + 10;
+  return -1;
+}
+
+unsigned HexCode(std::string_view four) {
+  unsigned code = 0;
+  for (char hex : four) code = code << 4 | static_cast<unsigned>(HexValue(hex));
+  return code;
+}
+
+// Decodes a string body ScanString accepted, so it cannot fail.
+void DecodeJsonString(std::string_view raw, std::string* out) {
+  out->clear();
+  out->reserve(raw.size());
+  for (size_t i = 0; i < raw.size();) {
+    const char ch = raw[i++];
+    if (ch != '\\') {
+      out->push_back(ch);
+      continue;
+    }
+    switch (raw[i++]) {
+      case 'b': out->push_back('\b'); break;
+      case 'f': out->push_back('\f'); break;
+      case 'n': out->push_back('\n'); break;
+      case 'r': out->push_back('\r'); break;
+      case 't': out->push_back('\t'); break;
+      case 'u': {
+        const unsigned code = HexCode(raw.substr(i, 4));
+        i += 4;
+        if (code < 0x80) {
+          out->push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          out->push_back(static_cast<char>(0xc0 | (code >> 6)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        } else {
+          out->push_back(static_cast<char>(0xe0 | (code >> 12)));
+          out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+          out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+        }
+        break;
+      }
+      default: out->push_back(raw[i - 1]); break;  // '"', '\\', '/'
     }
   }
-  bool AtEnd() {
-    SkipSpace();
-    return pos >= text.size();
+}
+
+// Keys seen so far in one object, for the duplicate check: a linear scan
+// over the first few (request and ledger lines have at most 14 keys), a
+// hash set beyond them, so a line of thousands of keys stays linear.
+class KeySet {
+ public:
+  bool Insert(std::string_view key) {
+    if (count_ < kInline) {
+      for (size_t i = 0; i < count_; ++i) {
+        if (inline_[i] == key) return false;
+      }
+      inline_[count_++] = key;
+      return true;
+    }
+    if (spill_.empty()) spill_.insert(inline_.begin(), inline_.end());
+    return spill_.insert(key).second;
   }
-  char Peek() { return pos < text.size() ? text[pos] : '\0'; }
+
+ private:
+  static constexpr size_t kInline = 16;
+  std::array<std::string_view, kInline> inline_;
+  size_t count_ = 0;
+  std::unordered_set<std::string_view> spill_;
 };
 
-Result<std::string> ParseJsonString(Cursor& c) {
-  // c.Peek() == '"' on entry.
-  ++c.pos;
-  std::string out;
-  while (c.pos < c.text.size()) {
-    char ch = c.text[c.pos++];
-    if (ch == '"') return out;
-    if (ch == '\\') {
-      if (c.pos >= c.text.size()) break;
-      char esc = c.text[c.pos++];
+// One pass over one line; each Scan* advances pos_ past what it accepts.
+// A failed step records its message and returns false, so the accepting
+// path builds no Status per token.
+class FlatJsonReader {
+ public:
+  explicit FlatJsonReader(std::string_view text) : text_(text) {}
+
+  Status Read(const std::string_view* names, JsonSlot* values,
+              size_t count) {
+    if (!ReadObject(names, values, count)) {
+      return Status::InvalidArgument(std::move(error_));
+    }
+    return Status::OK();
+  }
+
+ private:
+  bool ReadObject(const std::string_view* names, JsonSlot* values,
+                  size_t count) {
+    SkipSpace();
+    if (Peek() != '{') return Fail("expected a JSON object ('{...}')");
+    ++pos_;
+    SkipSpace();
+    if (Peek() == '}') {
+      ++pos_;
+    } else {
+      KeySet keys;
+      // Escaped keys are rare; their decoded bytes must outlive the loop
+      // for the duplicate check, and a forward_list never moves them.
+      std::forward_list<std::string> decoded_keys;
+      for (;;) {
+        SkipSpace();
+        if (Peek() != '"') return Fail("expected a quoted key");
+        JsonValue key_token;
+        if (!ScanString(&key_token)) return false;
+        std::string_view key = key_token.raw;
+        if (key_token.escaped) {
+          DecodeJsonString(key, &decoded_keys.emplace_front());
+          key = decoded_keys.front();
+        }
+        SkipSpace();
+        if (Peek() != ':') {
+          return Fail("expected ':' after key '" + std::string(key) + "'");
+        }
+        ++pos_;
+        SkipSpace();
+        JsonValue value;
+        const char head = Peek();
+        if (head == '"') {
+          if (!ScanString(&value)) return false;
+        } else if (head == 't' && text_.compare(pos_, 4, "true") == 0) {
+          value = {JsonValue::Kind::kBool, text_.substr(pos_, 4), false};
+          pos_ += 4;
+        } else if (head == 'f' && text_.compare(pos_, 5, "false") == 0) {
+          value = {JsonValue::Kind::kBool, text_.substr(pos_, 5), false};
+          pos_ += 5;
+        } else if (head == '{' || head == '[') {
+          return Fail("nested objects/arrays are not part of the protocol");
+        } else if (head == 'n') {
+          return Fail("null values are not accepted");
+        } else if (!ScanNumber(&value)) {
+          return false;
+        }
+        if (!keys.Insert(key)) {
+          return Fail("duplicate key '" + std::string(key) + "'");
+        }
+        for (size_t i = 0; i < count; ++i) {
+          if (names[i] == key) {
+            values[i] = value;
+            break;
+          }
+        }
+        SkipSpace();
+        if (Peek() == ',') {
+          ++pos_;
+          continue;
+        }
+        if (Peek() == '}') {
+          ++pos_;
+          break;
+        }
+        return Fail("expected ',' or '}' in object");
+      }
+    }
+    SkipSpace();
+    if (pos_ < text_.size()) return Fail("trailing content after object");
+    return true;
+  }
+
+  bool Fail(std::string message) {
+    error_ = std::move(message);
+    return false;
+  }
+
+  char Peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
+
+  void SkipSpace() {
+    while (pos_ < text_.size() && IsJsonSpace(text_[pos_])) ++pos_;
+  }
+
+  // Peek() == '"' on entry.  Checks every escape but decodes none: most
+  // strings hold no backslash and are handed out as views.
+  bool ScanString(JsonValue* out) {
+    const size_t begin = ++pos_;
+    bool escaped = false;
+    while (pos_ < text_.size()) {
+      const char ch = text_[pos_++];
+      if (ch == '"') {
+        *out = {JsonValue::Kind::kString,
+                text_.substr(begin, pos_ - 1 - begin), escaped};
+        return true;
+      }
+      if (ch != '\\') continue;
+      escaped = true;
+      if (pos_ >= text_.size()) break;
+      const char esc = text_[pos_++];
       switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
+        case '"': case '\\': case '/': case 'b': case 'f': case 'n':
+        case 'r': case 't':
+          break;
         case 'u': {
           // \uXXXX must round-trip: JsonEscape emits it for control
-          // characters, and a persisted ledger the parser cannot re-read
+          // characters, and a persisted ledger the reader cannot re-read
           // would brick the daemon's restart.
-          if (c.pos + 4 > c.text.size()) {
-            return Status::InvalidArgument("truncated \\u escape");
-          }
+          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
           unsigned code = 0;
           for (int d = 0; d < 4; ++d) {
-            const char hex = c.text[c.pos++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') {
-              code |= static_cast<unsigned>(hex - '0');
-            } else if (hex >= 'a' && hex <= 'f') {
-              code |= static_cast<unsigned>(hex - 'a' + 10);
-            } else if (hex >= 'A' && hex <= 'F') {
-              code |= static_cast<unsigned>(hex - 'A' + 10);
-            } else {
-              return Status::InvalidArgument("malformed \\u escape");
-            }
+            const int hex = HexValue(text_[pos_++]);
+            if (hex < 0) return Fail("malformed \\u escape");
+            code = code << 4 | static_cast<unsigned>(hex);
           }
           if (code >= 0xd800 && code <= 0xdfff) {
-            return Status::InvalidArgument(
-                "surrogate \\u escapes are not supported");
-          }
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xc0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
-          } else {
-            out.push_back(static_cast<char>(0xe0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3f)));
+            return Fail("surrogate \\u escapes are not supported");
           }
           break;
         }
         default:
-          return Status::InvalidArgument(
-              std::string("unsupported string escape '\\") + esc + "'");
+          return Fail(std::string("unsupported string escape '\\") + esc +
+                      "'");
       }
-      continue;
     }
-    out.push_back(ch);
+    return Fail("unterminated string");
   }
-  return Status::InvalidArgument("unterminated string");
+
+  // JSON number syntax plus a leading '+', ".5" and "5.", exponents
+  // included ("1e-05"): values the service itself emits (composed
+  // levels, %.17g) must re-read.
+  bool ScanNumber(JsonValue* out) {
+    const size_t begin = pos_;
+    if (Peek() == '-' || Peek() == '+') ++pos_;
+    bool digits = false, dot = false, exponent = false;
+    while (pos_ < text_.size()) {
+      const char ch = text_[pos_];
+      if (ch >= '0' && ch <= '9') {
+        digits = true;
+        ++pos_;
+      } else if (ch == '.' && !dot && !exponent) {
+        dot = true;
+        ++pos_;
+      } else if ((ch == 'e' || ch == 'E') && !exponent && digits) {
+        exponent = true;
+        ++pos_;
+        if (Peek() == '-' || Peek() == '+') ++pos_;
+        digits = false;  // the exponent needs its own digits
+      } else {
+        break;
+      }
+    }
+    if (!digits) return Fail("malformed number");
+    *out = {JsonValue::Kind::kNumber, text_.substr(begin, pos_ - begin),
+            false};
+    return true;
+  }
+
+  std::string_view text_;
+  size_t pos_ = 0;
+  std::string error_;
+};
+
+Status MissingField(std::string_view field) {
+  return Status::InvalidArgument("missing field '" + std::string(field) +
+                                 "'");
 }
 
-Result<std::string> ParseJsonNumber(Cursor& c) {
-  // Accepts JSON number syntax including exponents ("1e-05") — values the
-  // service itself emits (composed levels, %.17g) must re-parse.
-  const size_t begin = c.pos;
-  if (c.Peek() == '-' || c.Peek() == '+') ++c.pos;
-  bool digits = false, dot = false, exponent = false;
-  while (c.pos < c.text.size()) {
-    char ch = c.text[c.pos];
-    if (ch >= '0' && ch <= '9') {
-      digits = true;
-      ++c.pos;
-    } else if (ch == '.' && !dot && !exponent) {
-      dot = true;
-      ++c.pos;
-    } else if ((ch == 'e' || ch == 'E') && !exponent && digits) {
-      exponent = true;
-      ++c.pos;
-      if (c.Peek() == '-' || c.Peek() == '+') ++c.pos;
-      digits = false;  // the exponent needs its own digits
-    } else {
-      break;
-    }
-  }
-  if (!digits) return Status::InvalidArgument("malformed number");
-  return c.text.substr(begin, c.pos - begin);
+Status FieldError(std::string_view field, const char* what) {
+  return Status::InvalidArgument("field '" + std::string(field) + "' " +
+                                 what);
+}
+
+// from_chars takes no leading '+'; the grammar allows one.
+std::string_view WithoutPlus(std::string_view token) {
+  if (!token.empty() && token.front() == '+') token.remove_prefix(1);
+  return token;
 }
 
 }  // namespace
 
-Result<JsonObject> JsonObject::Parse(const std::string& line) {
-  Cursor c{line};
-  c.SkipSpace();
-  if (c.Peek() != '{') {
-    return Status::InvalidArgument("expected a JSON object ('{...}')");
-  }
-  ++c.pos;
-  JsonObject object;
-  c.SkipSpace();
-  if (c.Peek() == '}') {
-    ++c.pos;
-  } else {
-    for (;;) {
-      c.SkipSpace();
-      if (c.Peek() != '"') {
-        return Status::InvalidArgument("expected a quoted key");
-      }
-      GEOPRIV_ASSIGN_OR_RETURN(std::string key, ParseJsonString(c));
-      c.SkipSpace();
-      if (c.Peek() != ':') {
-        return Status::InvalidArgument("expected ':' after key '" + key +
-                                       "'");
-      }
-      ++c.pos;
-      c.SkipSpace();
-      Value value;
-      char head = c.Peek();
-      if (head == '"') {
-        GEOPRIV_ASSIGN_OR_RETURN(value.token, ParseJsonString(c));
-        value.kind = Kind::kString;
-      } else if (head == 't' && c.text.compare(c.pos, 4, "true") == 0) {
-        c.pos += 4;
-        value = {Kind::kBool, "true"};
-      } else if (head == 'f' && c.text.compare(c.pos, 5, "false") == 0) {
-        c.pos += 5;
-        value = {Kind::kBool, "false"};
-      } else if (head == '{' || head == '[') {
-        return Status::InvalidArgument(
-            "nested objects/arrays are not part of the protocol");
-      } else if (head == 'n') {
-        return Status::InvalidArgument("null values are not accepted");
-      } else {
-        GEOPRIV_ASSIGN_OR_RETURN(value.token, ParseJsonNumber(c));
-        value.kind = Kind::kNumber;
-      }
-      if (!object.values_.emplace(key, std::move(value)).second) {
-        return Status::InvalidArgument("duplicate key '" + key + "'");
-      }
-      c.SkipSpace();
-      if (c.Peek() == ',') {
-        ++c.pos;
-        continue;
-      }
-      if (c.Peek() == '}') {
-        ++c.pos;
-        break;
-      }
-      return Status::InvalidArgument("expected ',' or '}' in object");
-    }
-  }
-  if (!c.AtEnd()) {
-    return Status::InvalidArgument("trailing content after object");
-  }
-  return object;
+Status ReadFlatJson(std::string_view line, const std::string_view* names,
+                    JsonSlot* values, size_t count) {
+  return FlatJsonReader(line).Read(names, values, count);
 }
 
-Result<std::string> JsonObject::GetString(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::InvalidArgument("missing field '" + key + "'");
+Result<std::string_view> JsonString(std::string_view field,
+                                    const JsonSlot& value,
+                                    std::string* scratch) {
+  if (!value) return MissingField(field);
+  if (value->kind != JsonValue::Kind::kString) {
+    return FieldError(field, "must be a string");
   }
-  if (it->second.kind != Kind::kString) {
-    return Status::InvalidArgument("field '" + key + "' must be a string");
-  }
-  return it->second.token;
+  if (!value->escaped) return value->raw;
+  DecodeJsonString(value->raw, scratch);
+  return std::string_view(*scratch);
 }
 
-Result<int64_t> JsonObject::GetInt(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::InvalidArgument("missing field '" + key + "'");
+Result<int64_t> JsonInt(std::string_view field, const JsonSlot& value) {
+  if (!value) return MissingField(field);
+  if (value->kind != JsonValue::Kind::kNumber ||
+      value->raw.find_first_of(".eE") != std::string_view::npos) {
+    return FieldError(field, "must be an integer");
   }
-  if (it->second.kind != Kind::kNumber ||
-      it->second.token.find_first_of(".eE") != std::string::npos) {
-    return Status::InvalidArgument("field '" + key +
-                                   "' must be an integer");
+  // Out-of-range input is a reported error, never the silent saturation
+  // the caller's range checks would then be built on.
+  const std::string_view digits = WithoutPlus(value->raw);
+  int64_t out = 0;
+  const auto [end, ec] =
+      std::from_chars(digits.data(), digits.data() + digits.size(), out);
+  if (ec != std::errc() || end != digits.data() + digits.size()) {
+    return FieldError(field, "is out of integer range");
   }
-  // strtoll, not atoll: out-of-range input is a reported error, never the
-  // undefined behavior / silent saturation the caller's range checks would
-  // then be built on.
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(it->second.token.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') {
-    return Status::InvalidArgument("field '" + key +
-                                   "' is out of integer range");
-  }
-  return static_cast<int64_t>(value);
+  return out;
 }
 
-Result<double> JsonObject::GetDouble(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::InvalidArgument("missing field '" + key + "'");
+Result<double> JsonDouble(std::string_view field, const JsonSlot& value) {
+  if (!value) return MissingField(field);
+  if (value->kind != JsonValue::Kind::kNumber) {
+    return FieldError(field, "must be a number");
   }
-  if (it->second.kind != Kind::kNumber) {
-    return Status::InvalidArgument("field '" + key + "' must be a number");
-  }
-  return std::atof(it->second.token.c_str());
+  const std::string_view text = WithoutPlus(value->raw);
+  double out = 0.0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec == std::errc() && end == text.data() + text.size()) return out;
+  // from_chars reports overflow and underflow where strtod rounds them
+  // (to ±HUGE_VAL, or to the nearest subnormal or zero); the ledger has
+  // always read levels with strtod's rounding.
+  return std::strtod(std::string(value->raw).c_str(), nullptr);
 }
 
-Result<bool> JsonObject::GetBool(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::InvalidArgument("missing field '" + key + "'");
+Result<bool> JsonBool(std::string_view field, const JsonSlot& value) {
+  if (!value) return MissingField(field);
+  if (value->kind != JsonValue::Kind::kBool) {
+    return FieldError(field, "must be a boolean");
   }
-  if (it->second.kind != Kind::kBool) {
-    return Status::InvalidArgument("field '" + key + "' must be a boolean");
-  }
-  return it->second.token == "true";
-}
-
-Result<std::string> JsonObject::GetRawToken(const std::string& key) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return Status::InvalidArgument("missing field '" + key + "'");
-  }
-  return it->second.token;
+  return value->raw == "true";
 }
 
 void AppendJsonEscaped(std::string_view text, std::string* out) {
@@ -288,9 +375,25 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-Result<ServiceRequest> ParseRequestLine(const std::string& line) {
-  GEOPRIV_ASSIGN_OR_RETURN(JsonObject object, JsonObject::Parse(line));
-  GEOPRIV_ASSIGN_OR_RETURN(std::string op, object.GetString("op"));
+Result<ServiceRequest> ParseRequestLine(std::string_view line) {
+  enum Field {
+    kOp, kConsumer, kMode, kN, kCount, kAlpha, kLoss, kLo, kHi, kSeed,
+    kSamples, kDeadlineMs, kTrace, kChained, kFieldCount
+  };
+  static constexpr std::array<std::string_view, kFieldCount> kNames = {
+      "op",   "consumer", "mode", "n",    "count",   "alpha",       "loss",
+      "lo",   "hi",       "seed", "samples", "deadline_ms", "trace",
+      "chained"};
+  std::array<JsonSlot, kFieldCount> fields;
+  GEOPRIV_RETURN_IF_ERROR(ReadFlatJson(line, kNames, &fields));
+  const auto string_field = [&](Field f, std::string* scratch) {
+    return JsonString(kNames[f], fields[f], scratch);
+  };
+  const auto int_field = [&](Field f) { return JsonInt(kNames[f], fields[f]); };
+
+  std::string scratch;
+  GEOPRIV_ASSIGN_OR_RETURN(const std::string_view op,
+                           string_field(kOp, &scratch));
   ServiceRequest request;
   if (op == "ping") {
     request.op = ServiceOp::kPing;
@@ -318,24 +421,28 @@ Result<ServiceRequest> ParseRequestLine(const std::string& line) {
   }
   if (op == "budget") {
     request.op = ServiceOp::kBudget;
-    GEOPRIV_ASSIGN_OR_RETURN(request.consumer, object.GetString("consumer"));
+    GEOPRIV_ASSIGN_OR_RETURN(const std::string_view consumer,
+                             string_field(kConsumer, &scratch));
+    request.consumer.assign(consumer);
     return request;
   }
   if (op != "query") {
-    return Status::InvalidArgument("unknown op '" + op + "'");
+    return Status::InvalidArgument("unknown op '" + std::string(op) + "'");
   }
 
   request.op = ServiceOp::kQuery;
   ServiceQuery& query = request.query;
-  GEOPRIV_ASSIGN_OR_RETURN(query.consumer, object.GetString("consumer"));
+  GEOPRIV_ASSIGN_OR_RETURN(const std::string_view consumer,
+                           string_field(kConsumer, &scratch));
+  query.consumer.assign(consumer);
 
   // Optional fields are strict when present: a mistyped value is an error,
   // never a silent default.  Integer fields are bounded BEFORE the cast to
   // int so out-of-range values cannot truncate into a different, valid
   // problem (n=2^32+5 must not quietly become n=5).
   std::string mode_name = "exact";
-  if (object.Has("mode")) {
-    GEOPRIV_ASSIGN_OR_RETURN(mode_name, object.GetString("mode"));
+  if (fields[kMode]) {
+    GEOPRIV_ASSIGN_OR_RETURN(mode_name, string_field(kMode, &scratch));
   }
   GEOPRIV_ASSIGN_OR_RETURN(ServeMode mode, ServeModeFromString(mode_name));
   // The n ceiling is a denial-of-service guard sized to what one entry
@@ -346,56 +453,62 @@ Result<ServiceRequest> ParseRequestLine(const std::string& line) {
   // (n+1)^2 exact rationals plus samplers — n=1024 is ~50 MB, n=10^6
   // would be an unauthenticated one-line OOM.
   const int64_t max_n = mode == ServeMode::kGeometric ? 1024 : 32;
-  GEOPRIV_ASSIGN_OR_RETURN(int64_t n, object.GetInt("n"));
+  GEOPRIV_ASSIGN_OR_RETURN(int64_t n, int_field(kN));
   if (n < 0 || n > max_n) {
     return Status::InvalidArgument("field 'n' must lie in [0, " +
                                    std::to_string(max_n) + "] for mode " +
                                    mode_name);
   }
-  GEOPRIV_ASSIGN_OR_RETURN(int64_t count, object.GetInt("count"));
+  GEOPRIV_ASSIGN_OR_RETURN(int64_t count, int_field(kCount));
   if (count < 0 || count > n) {
     return Status::InvalidArgument("field 'count' must lie in [0, n]");
   }
-  GEOPRIV_ASSIGN_OR_RETURN(std::string alpha_token,
-                           object.GetRawToken("alpha"));
+  // "alpha" is its raw token — a decoded string or a number verbatim —
+  // which is what Rational::FromString wants: both 0.3 and "1/3" work.
+  const JsonSlot& alpha_field = fields[kAlpha];
+  if (!alpha_field) return Status::InvalidArgument("missing field 'alpha'");
+  std::string_view alpha_token = alpha_field->raw;
+  if (alpha_field->kind == JsonValue::Kind::kString) {
+    GEOPRIV_ASSIGN_OR_RETURN(alpha_token, string_field(kAlpha, &scratch));
+  }
   Result<Rational> alpha = Rational::FromString(alpha_token);
   if (!alpha.ok()) {
     return Status::InvalidArgument("field 'alpha': " +
                                    alpha.status().message());
   }
   std::string loss_name = "absolute";
-  if (object.Has("loss")) {
-    GEOPRIV_ASSIGN_OR_RETURN(loss_name, object.GetString("loss"));
+  if (fields[kLoss]) {
+    GEOPRIV_ASSIGN_OR_RETURN(loss_name, string_field(kLoss, &scratch));
   }
   int64_t lo = 0, hi = n;
-  if (object.Has("lo")) {
-    GEOPRIV_ASSIGN_OR_RETURN(lo, object.GetInt("lo"));
+  if (fields[kLo]) {
+    GEOPRIV_ASSIGN_OR_RETURN(lo, int_field(kLo));
   }
-  if (object.Has("hi")) {
-    GEOPRIV_ASSIGN_OR_RETURN(hi, object.GetInt("hi"));
+  if (fields[kHi]) {
+    GEOPRIV_ASSIGN_OR_RETURN(hi, int_field(kHi));
   }
   if (lo < 0 || lo > n || hi < 0 || hi > n) {
     return Status::InvalidArgument("fields 'lo'/'hi' must lie in [0, n]");
   }
   int64_t seed = 1;
-  if (object.Has("seed")) {
-    GEOPRIV_ASSIGN_OR_RETURN(seed, object.GetInt("seed"));
+  if (fields[kSeed]) {
+    GEOPRIV_ASSIGN_OR_RETURN(seed, int_field(kSeed));
   }
   int64_t samples = 1;
-  if (object.Has("samples")) {
+  if (fields[kSamples]) {
     // K draws from the one per-request stream, charged as K releases
     // atomically (all admitted or the query is rejected whole).  The cap
     // bounds reply size and per-query ledger work the same way the batch
     // window cap bounds daemon memory.
-    GEOPRIV_ASSIGN_OR_RETURN(samples, object.GetInt("samples"));
+    GEOPRIV_ASSIGN_OR_RETURN(samples, int_field(kSamples));
     if (samples < 1 || samples > 4096) {
       return Status::InvalidArgument(
           "field 'samples' must lie in [1, 4096]");
     }
   }
   int64_t deadline_ms = 0;
-  if (object.Has("deadline_ms")) {
-    GEOPRIV_ASSIGN_OR_RETURN(deadline_ms, object.GetInt("deadline_ms"));
+  if (fields[kDeadlineMs]) {
+    GEOPRIV_ASSIGN_OR_RETURN(deadline_ms, int_field(kDeadlineMs));
     // Capped at 10 minutes: a huge "deadline" is a typo, not a bound, and
     // 0 (= none) is the spelling for unbounded.
     if (deadline_ms < 0 || deadline_ms > 600000) {
@@ -403,18 +516,20 @@ Result<ServiceRequest> ParseRequestLine(const std::string& line) {
           "field 'deadline_ms' must lie in [0, 600000]");
     }
   }
-  if (object.Has("trace")) {
+  if (fields[kTrace]) {
     // Per-request tracing: the reply carries a per-stage timing breakdown
     // (trace_*_us fields) and the pipeline times its stages for this
     // batch.  "trace":false is tolerated and means untraced.
-    GEOPRIV_ASSIGN_OR_RETURN(query.trace, object.GetBool("trace"));
+    GEOPRIV_ASSIGN_OR_RETURN(query.trace,
+                             JsonBool(kNames[kTrace], fields[kTrace]));
   }
-  if (object.Has("chained")) {
+  if (fields[kChained]) {
     // Min-composition is only sound for an actual Algorithm-1 chain; a
     // client-declared flag on independent samples would be a budget
     // bypass (min never drops, product does).  Rejected until a real
     // multilevel-serving op exists; "chained":false is tolerated.
-    GEOPRIV_ASSIGN_OR_RETURN(const bool chained, object.GetBool("chained"));
+    GEOPRIV_ASSIGN_OR_RETURN(const bool chained,
+                             JsonBool(kNames[kChained], fields[kChained]));
     if (chained) {
       return Status::InvalidArgument(
           "'chained' accounting is not available for independent query "
@@ -434,29 +549,12 @@ Result<ServiceRequest> ParseRequestLine(const std::string& line) {
   return request;
 }
 
-namespace {
-
-// to_chars-based integer append: the sampling path serializes one (or
-// samples-many) integers per reply, and a per-value std::to_string heap
-// string is measurable at batch sizes the columnar pipeline reaches.
-template <typename Int>
-void AppendInt(Int value, std::string* out) {
-  char buf[24];
-  const auto end = std::to_chars(buf, buf + sizeof(buf), value);
-  out->append(buf, end.ptr);
-}
-
-// Appends `value` exactly as printf("%.17g") spells it: to_chars with
-// chars_format::general and a precision is defined as that conversion,
-// minus the format-string parse and the locale lookup.
-void AppendDouble(double value, std::string* out) {
+void AppendJsonDouble(double value, std::string* out) {
   char buf[32];
   const auto end = std::to_chars(buf, buf + sizeof(buf), value,
                                  std::chars_format::general, 17);
   out->append(buf, end.ptr);
 }
-
-}  // namespace
 
 void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
                       std::string* out) {
@@ -502,12 +600,12 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
       *out += ",\"released\":[";
       for (size_t j = 0; j < reply.released_values.size(); ++j) {
         if (j > 0) out->push_back(',');
-        AppendInt(reply.released_values[j], out);
+        AppendJsonInt(reply.released_values[j], out);
       }
       out->push_back(']');
     } else {
       *out += ",\"released\":";
-      AppendInt(reply.released, out);
+      AppendJsonInt(reply.released, out);
     }
     *out += ",\"loss\":\"";
     AppendJsonEscaped(reply.optimal_loss.ToString(), out);
@@ -520,14 +618,14 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
     *out += "\"";
   }
   *out += ",\"level\":";
-  AppendDouble(reply.level_after, out);
+  AppendJsonDouble(reply.level_after, out);
   *out += ",\"composed_level\":";
-  AppendDouble(reply.composed_level, out);
+  AppendJsonDouble(reply.composed_level, out);
   *out += ",\"budget\":";
-  AppendDouble(reply.budget, out);
+  AppendJsonDouble(reply.budget, out);
   if (reply.retry_after_ms > 0) {
     *out += ",\"retry_after_ms\":";
-    AppendInt(reply.retry_after_ms, out);
+    AppendJsonInt(reply.retry_after_ms, out);
   }
   *out += ",\"cache\":\"";
   *out += reply.cache;
@@ -537,19 +635,19 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
     // the formatting up to this point; the send span happens after the
     // reply leaves this function and is recorded to histograms only.
     *out += ",\"trace_parse_us\":";
-    AppendInt(reply.trace_parse_us, out);
+    AppendJsonInt(reply.trace_parse_us, out);
     *out += ",\"trace_queue_us\":";
-    AppendInt(reply.trace_queue_us, out);
+    AppendJsonInt(reply.trace_queue_us, out);
     *out += ",\"trace_solve_us\":";
-    AppendInt(reply.trace_solve_us, out);
+    AppendJsonInt(reply.trace_solve_us, out);
     *out += ",\"trace_charge_us\":";
-    AppendInt(reply.trace_charge_us, out);
+    AppendJsonInt(reply.trace_charge_us, out);
     *out += ",\"trace_sample_us\":";
-    AppendInt(reply.trace_sample_us, out);
+    AppendJsonInt(reply.trace_sample_us, out);
     *out += ",\"trace_persist_us\":";
-    AppendInt(reply.trace_persist_us, out);
+    AppendJsonInt(reply.trace_persist_us, out);
     *out += ",\"trace_serialize_us\":";
-    AppendInt(static_cast<int64_t>(serialize_watch.ElapsedMicros()), out);
+    AppendJsonInt(static_cast<int64_t>(serialize_watch.ElapsedMicros()), out);
   }
   *out += "}";
 }

@@ -1,6 +1,6 @@
 // The geopriv_serve line protocol: one JSON object per line, in and out.
 //
-// Dependency-free on purpose — the parser below understands exactly the
+// Dependency-free on purpose — the reader below understands exactly the
 // subset the protocol needs (flat objects, string / number / boolean
 // values, no nesting) and rejects everything else with a useful message.
 // The full grammar, request catalog and examples live in docs/SERVICE.md.
@@ -18,8 +18,11 @@
 #ifndef GEOPRIV_SERVICE_PROTOCOL_H_
 #define GEOPRIV_SERVICE_PROTOCOL_H_
 
+#include <array>
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -28,45 +31,69 @@
 
 namespace geopriv {
 
-/// A parsed flat JSON object: keys mapped to raw value tokens.
-class JsonObject {
- public:
-  /// Parses one flat JSON object.  Rejects nested objects/arrays, null,
-  /// duplicate keys, and trailing content.
-  static Result<JsonObject> Parse(const std::string& line);
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  /// The decoded string value; fails when absent or not a string.
-  /// There are deliberately no silently-defaulting getters: a field that
-  /// is present with the wrong type is a protocol error, never a default
-  /// (a mistyped "hi" must not quietly serve the unrestricted mechanism).
-  Result<std::string> GetString(const std::string& key) const;
-
-  /// Integer value; fails when absent, not a number, or fractional.
-  Result<int64_t> GetInt(const std::string& key) const;
-
-  Result<double> GetDouble(const std::string& key) const;
-  Result<bool> GetBool(const std::string& key) const;
-
-  /// The raw token (string values decoded, numbers verbatim) — what
-  /// Rational::FromString wants for "alpha": both 0.3 and "1/3" work.
-  Result<std::string> GetRawToken(const std::string& key) const;
-
- private:
-  enum class Kind { kString, kNumber, kBool };
-  struct Value {
-    Kind kind;
-    std::string token;  // decoded string / verbatim number / "true"/"false"
-  };
-  std::map<std::string, Value> values_;
+/// One field value of a flat JSON line, viewed where it sits in the line.
+struct JsonValue {
+  enum class Kind : uint8_t { kString, kNumber, kBool };
+  Kind kind = Kind::kString;
+  /// A string's bytes between its quotes (escapes still encoded), a
+  /// number's token verbatim, or "true" / "false".
+  std::string_view raw;
+  bool escaped = false;  ///< a string holding a backslash; decoded on read
 };
+
+/// A field collected by ReadFlatJson; empty when the line lacks it.
+using JsonSlot = std::optional<JsonValue>;
+
+/// The one reader for every flat-JSON line the service reads: request
+/// lines and the ledger's snapshot and journal.  One pass over `line`
+/// checks the whole grammar — one object of string / number / boolean
+/// values; no nesting, null, duplicate keys (compared decoded) or
+/// trailing bytes — and stores the value of each field whose key equals
+/// names[i] in values[i].  Other fields are checked, then dropped.
+Status ReadFlatJson(std::string_view line, const std::string_view* names,
+                    JsonSlot* values, size_t count);
+
+template <size_t N>
+Status ReadFlatJson(std::string_view line,
+                    const std::array<std::string_view, N>& names,
+                    std::array<JsonSlot, N>* values) {
+  return ReadFlatJson(line, names.data(), values->data(), N);
+}
+
+/// Typed reads of a collected field, named `field` in their errors.
+/// There are deliberately no silently-defaulting reads: a field that is
+/// present with the wrong type is a protocol error, never a default (a
+/// mistyped "hi" must not quietly serve the unrestricted mechanism).
+///
+/// JsonString is a view of the line itself unless the string holds
+/// escapes, which are decoded into `scratch`.
+Result<std::string_view> JsonString(std::string_view field,
+                                    const JsonSlot& value,
+                                    std::string* scratch);
+/// An integer; fails when fractional or out of int64 range.
+Result<int64_t> JsonInt(std::string_view field, const JsonSlot& value);
+/// Rounded as strtod rounds: overflow is ±inf, underflow a subnormal or 0.
+Result<double> JsonDouble(std::string_view field, const JsonSlot& value);
+Result<bool> JsonBool(std::string_view field, const JsonSlot& value);
 
 /// Escapes a string for embedding in a JSON response line.
 std::string JsonEscape(const std::string& text);
 
 /// JsonEscape's bytes, appended straight to `out` (no temporary string).
 void AppendJsonEscaped(std::string_view text, std::string* out);
+
+/// Appends `value` exactly as printf("%.17g") spells it: to_chars with
+/// chars_format::general and a precision is defined as that conversion,
+/// minus the format-string parse and the locale lookup.
+void AppendJsonDouble(double value, std::string* out);
+
+/// Appends an integer in decimal, without a temporary string.
+template <typename Int>
+void AppendJsonInt(Int value, std::string* out) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, end.ptr);
+}
 
 /// The service operations a request line can name.
 enum class ServiceOp {
@@ -94,7 +121,7 @@ struct ServiceRequest {
 
 /// Parses and validates one request line (including the signature
 /// canonicalization for queries).
-Result<ServiceRequest> ParseRequestLine(const std::string& line);
+Result<ServiceRequest> ParseRequestLine(std::string_view line);
 
 /// Response formatting: every reply is one JSON line.
 ///

@@ -168,16 +168,14 @@ std::string MechanismService::HandleRequest(const ServiceRequest& request,
       return MetricsJson();
 
     case ServiceOp::kBudget: {
-      char buf[64];
-      std::string out = "{\"op\":\"budget\",\"ok\":true,\"consumer\":\"" +
-                        JsonEscape(request.consumer) + "\"";
-      std::snprintf(buf, sizeof(buf), ",\"level\":%.17g",
-                    ledger_.Level(request.consumer));
-      out += buf;
-      out += ",\"releases\":" + std::to_string(
-                                    ledger_.Releases(request.consumer));
-      std::snprintf(buf, sizeof(buf), ",\"budget\":%.17g", ledger_.budget());
-      out += buf;
+      std::string out = "{\"op\":\"budget\",\"ok\":true,\"consumer\":\"";
+      AppendJsonEscaped(request.consumer, &out);
+      out += "\",\"level\":";
+      AppendJsonDouble(ledger_.Level(request.consumer), &out);
+      out += ",\"releases\":";
+      AppendJsonInt(ledger_.Releases(request.consumer), &out);
+      out += ",\"budget\":";
+      AppendJsonDouble(ledger_.budget(), &out);
       return out + "}";
     }
 

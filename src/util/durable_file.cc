@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -58,6 +59,12 @@ Status ReplaceFileDurably(const std::string& path, std::string_view head,
     return Status::Internal("cannot create '" + dir + "': " + ec.message());
   }
   const std::string tmp = path + ".tmp";
+  // Any error below unlinks the tmp: only a crash leaves one behind, for
+  // the loaders' sweep.
+  const auto fail = [&tmp](Status status) {
+    ::unlink(tmp.c_str());
+    return status;
+  };
   {
     Fd out;
     out.fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
@@ -66,20 +73,25 @@ Status ReplaceFileDurably(const std::string& path, std::string_view head,
       return Status::NotFound("cannot open '" + tmp + "' for write");
     }
     Status written = WriteAll(out.fd, head);
-    if (written.ok()) {
-      GEOPRIV_INJECT_FAULT(write_fault);
-      written = WriteAll(out.fd, tail);
+    if (written.ok() && fault_injection::Armed()) {
+      written = fault_injection::Fire(write_fault);
+      if (!written.ok()) return fail(std::move(written));
     }
+    if (written.ok()) written = WriteAll(out.fd, tail);
     if (!written.ok()) {
-      return Status::Internal("write to '" + tmp + "' failed: " +
-                              written.message());
+      return fail(Status::Internal("write to '" + tmp + "' failed: " +
+                                   written.message()));
     }
-    if (::fsync(out.fd) != 0) return Errno("cannot fsync", tmp);
+    if (::fsync(out.fd) != 0) return fail(Errno("cannot fsync", tmp));
   }
-  GEOPRIV_INJECT_FAULT(rename_fault);
+  if (fault_injection::Armed()) {
+    Status renamed = fault_injection::Fire(rename_fault);
+    if (!renamed.ok()) return fail(std::move(renamed));
+  }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
-    return Status::Internal("cannot rename '" + tmp + "': " + ec.message());
+    return fail(
+        Status::Internal("cannot rename '" + tmp + "': " + ec.message()));
   }
   return SyncDirectory(dir);
 }

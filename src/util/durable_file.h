@@ -10,7 +10,7 @@
 // or zero-filled committed file); the directory fsync makes the rename
 // itself durable.  A crash at any point leaves either the previous file
 // or the new one under <path>, plus at most "*.tmp" debris that the
-// loaders sweep.
+// loaders sweep; a returned error has already unlinked the tmp.
 
 #ifndef GEOPRIV_UTIL_DURABLE_FILE_H_
 #define GEOPRIV_UTIL_DURABLE_FILE_H_

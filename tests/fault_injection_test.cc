@@ -186,6 +186,25 @@ TEST_F(FaultInjectionTest, CacheSaveFailureLeavesLoadableDirectory) {
   fi::Disarm();
   EXPECT_EQ(cache.GetStats().persist_failures, 1u);
   EXPECT_EQ(cache.GetStats().entries, 2u);
+  // At once, before any reload: only the committed entry is manifested,
+  // and the failed write unlinked its tmp.
+  std::vector<std::string> entry_stems;
+  for (const auto& dirent : fs::directory_iterator(dir)) {
+    if (dirent.path().extension() == ".entry") {
+      entry_stems.push_back(dirent.path().stem().string());
+    }
+  }
+  ASSERT_EQ(entry_stems.size(), 1u);
+  std::vector<std::string> manifested;
+  {
+    std::ifstream manifest(dir + "/manifest");
+    std::string line;
+    while (std::getline(manifest, line)) {
+      if (line.rfind("entry ", 0) == 0) manifested.push_back(line.substr(6));
+    }
+  }
+  EXPECT_EQ(manifested, entry_stems);
+  EXPECT_FALSE(HasTmpDebris(dir));
   // The committed entry still loads bit-identically (load re-validates
   // the matrix), the failed one is not resurrected, and the reload leaves
   // no tmp debris behind.

@@ -785,22 +785,31 @@ TEST(ProtocolTest, OutOfRangeAndMistypedFieldsAreErrorsNotDefaults) {
   EXPECT_FALSE(ParseRequestLine(ok_head + ",\"loss\":7}").ok());
 }
 
+// The decoded string field "k" of a line, through the flat-JSON reader.
+Result<std::string> ReadStringK(const std::string& line) {
+  static constexpr std::array<std::string_view, 1> kNames = {"k"};
+  std::array<JsonSlot, 1> fields;
+  GEOPRIV_RETURN_IF_ERROR(ReadFlatJson(line, kNames, &fields));
+  std::string scratch;
+  GEOPRIV_ASSIGN_OR_RETURN(const std::string_view value,
+                           JsonString("k", fields[0], &scratch));
+  return std::string(value);
+}
+
 TEST(ProtocolTest, EscapingRoundTripsThroughTheParser) {
   // Includes control characters (escaped as \uXXXX): a persisted ledger
   // whose consumer name the parser could not re-read would brick restart.
   const std::string raw = "a\"b\\c\nd\te\x08f\x01g";
-  auto object = JsonObject::Parse("{\"k\":\"" + JsonEscape(raw) + "\"}");
-  ASSERT_TRUE(object.ok()) << object.status().ToString();
-  auto value = object->GetString("k");
-  ASSERT_TRUE(value.ok());
+  auto value = ReadStringK("{\"k\":\"" + JsonEscape(raw) + "\"}");
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
   EXPECT_EQ(*value, raw);
   // Non-BMP-surrogate \u escapes decode to UTF-8; malformed ones fail.
-  auto unicode = JsonObject::Parse("{\"k\":\"\\u00e9\\u20ac\"}");
+  auto unicode = ReadStringK("{\"k\":\"\\u00e9\\u20ac\"}");
   ASSERT_TRUE(unicode.ok());
-  EXPECT_EQ(*unicode->GetString("k"), "\xc3\xa9\xe2\x82\xac");
-  EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\u12\"}").ok());
-  EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\uzzzz\"}").ok());
-  EXPECT_FALSE(JsonObject::Parse("{\"k\":\"\\ud800\"}").ok());
+  EXPECT_EQ(*unicode, "\xc3\xa9\xe2\x82\xac");
+  EXPECT_FALSE(ReadStringK("{\"k\":\"\\u12\"}").ok());
+  EXPECT_FALSE(ReadStringK("{\"k\":\"\\uzzzz\"}").ok());
+  EXPECT_FALSE(ReadStringK("{\"k\":\"\\ud800\"}").ok());
 }
 
 TEST(ProtocolTest, ReplyNumbersAreSpelledExactlyAsPrintf17g) {
