@@ -5,7 +5,8 @@
 // signature — the gap IS the cache (the acceptance gate asks for >= 5x;
 // in practice it is orders of magnitude, a map lookup against an exact LP
 // solve).  MissWarmSweep vs MissColdSweep isolates what warm-starting
-// misses from the nearest cached basis saves while an alpha grid fills.
+// misses from the nearest cached basis saves while an alpha grid fills;
+// MissCold/n=8,16,32 times one cold exact-mode miss each.
 // A fresh RNG stream per query keeps every workload deterministic.
 //
 // n=8 always runs (so the CI bench-smoke compare always has shared
@@ -237,11 +238,33 @@ void RunWorkloads(bench::Harness& harness, int n) {
   }
 }
 
+// One cold exact-mode miss: G_{n,1/2}, the interaction LP, the product
+// G·T* and the sampler build, with no neighbour to seed from.  The pivot
+// counts are the work behind each time.  The budget lets n=32 (seconds
+// per solve) take all three repetitions.
+void RunMissCold(bench::Harness& harness) {
+  MechanismCache cache;
+  const bench::RunOptions three{/*repetitions=*/3, /*warmup=*/0,
+                                /*min_rep_ms=*/0.0, /*budget_ms=*/60000.0};
+  for (const int n : {8, 16, 32}) {
+    const MechanismSignature sig = Sig(n, R(1, 2));
+    harness.Run(
+        "MissCold/n=" + std::to_string(n),
+        [&] { bench::DoNotOptimize(MustEntry(cache.SolveUncached(sig))); },
+        three);
+    const auto entry = MustEntry(cache.SolveUncached(sig));
+    std::printf("  MissCold/n=%d: %d pivots (phase 1 %d, phase 2 %d)\n", n,
+                entry->lp_iterations, entry->phase1_iterations,
+                entry->phase2_iterations);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Harness harness("bench_service_throughput", argc, argv);
   RunWorkloads(harness, 8);
+  RunMissCold(harness);
   if (harness.large()) RunWorkloads(harness, 12);
   return harness.Finish();
 }

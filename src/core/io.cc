@@ -15,7 +15,8 @@ namespace {
 constexpr char kHeaderV1[] = "geopriv-mechanism v1";
 constexpr char kHeaderV2[] = "geopriv-mechanism v2";
 constexpr char kHeaderV3[] = "geopriv-mechanism v3";
-constexpr char kBasisHeader[] = "geopriv-basis v1";
+constexpr char kBasisHeader[] = "geopriv-basis v2";
+constexpr char kBasisHeaderV1[] = "geopriv-basis v1";
 
 // Reads a "checksum <16 hex>" line from `in` and verifies it against the
 // FNV-1a digest of everything that follows it.  On success leaves `in`
@@ -246,7 +247,12 @@ Result<std::vector<size_t>> ParseBasisDoc(const std::string& text,
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kBasisHeader) {
-    return Status::InvalidArgument("missing 'geopriv-basis v1' header");
+    if (line == kBasisHeaderV1) {
+      return Status::FailedPrecondition(
+          "basis document v1 holds a Section 2.5 LP basis, which does not "
+          "fit the interaction LP");
+    }
+    return Status::InvalidArgument("missing 'geopriv-basis v2' header");
   }
   GEOPRIV_RETURN_IF_ERROR(ConsumeChecksumLine(in, "basis document"));
   if (!std::getline(in, line) || line.compare(0, 4, "key ") != 0) {

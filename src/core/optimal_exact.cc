@@ -160,25 +160,26 @@ Result<ExactLpProblem> BuildOptimalMechanismLpExact(
 
 namespace {
 
-// Solution -> ExactOptimalResult, shared by the single solve and the
-// warm-started sweeps.
-Result<ExactOptimalResult> PackMechanismResult(ExactLpSolution solution,
-                                               int n) {
+// Solution -> ExactOptimalResult, shared by both LPs' single solves and the
+// warm-started sweeps.  `what` names the LP's matrix in messages
+// ("mechanism" or "interaction").
+Result<ExactOptimalResult> PackResult(ExactLpSolution solution, int n,
+                                      const std::string& what) {
   if (solution.status == LpStatus::kCancelled) {
     // A timed-out solve proved nothing about feasibility; reporting it as
     // Infeasible would let a transient deadline masquerade as a property
     // of the LP.
-    return Status::DeadlineExceeded(
-        "exact optimal-mechanism LP hit its solve deadline");
+    return Status::DeadlineExceeded("exact optimal-" + what +
+                                    " LP hit its solve deadline");
   }
   if (solution.status != LpStatus::kOptimal) {
-    return Status::Infeasible("exact optimal-mechanism LP did not solve");
+    return Status::Infeasible("exact optimal-" + what + " LP did not solve");
   }
-  RationalMatrix mechanism = ExtractMatrix(solution.values, n);
-  if (!mechanism.IsRowStochastic()) {
-    return Status::Internal("exact LP produced a non-stochastic mechanism");
+  RationalMatrix matrix = ExtractMatrix(solution.values, n);
+  if (!matrix.IsRowStochastic()) {
+    return Status::Internal("exact LP produced a non-stochastic " + what);
   }
-  return ExactOptimalResult{std::move(mechanism),
+  return ExactOptimalResult{std::move(matrix),
                             std::move(solution.objective),
                             solution.iterations,
                             solution.phase1_iterations,
@@ -196,7 +197,7 @@ Result<ExactOptimalResult> SolveOptimalMechanismExact(
                            BuildOptimalMechanismLpExact(n, alpha, loss, side));
   ExactSimplexSolver solver(options);
   GEOPRIV_ASSIGN_OR_RETURN(ExactLpSolution solution, solver.Solve(lp));
-  return PackMechanismResult(std::move(solution), n);
+  return PackResult(std::move(solution), n, "mechanism");
 }
 
 Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactSweep(
@@ -275,7 +276,7 @@ Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactSweep(
   out.reserve(count);
   for (ExactLpSolution& solution : solutions) {
     GEOPRIV_ASSIGN_OR_RETURN(ExactOptimalResult result,
-                             PackMechanismResult(std::move(solution), n));
+                             PackResult(std::move(solution), n, "mechanism"));
     out.push_back(std::move(result));
   }
   return out;
@@ -298,7 +299,7 @@ Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactLossSweep(
   out.reserve(solutions.size());
   for (ExactLpSolution& solution : solutions) {
     GEOPRIV_ASSIGN_OR_RETURN(ExactOptimalResult result,
-                             PackMechanismResult(std::move(solution), n));
+                             PackResult(std::move(solution), n, "mechanism"));
     out.push_back(std::move(result));
   }
   return out;
@@ -306,7 +307,7 @@ Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactLossSweep(
 
 Result<ExactOptimalResult> SolveOptimalInteractionExact(
     const RationalMatrix& deployed, const ExactLossFunction& loss,
-    const SideInformation& side) {
+    const SideInformation& side, const ExactSimplexOptions& options) {
   const int n = side.n();
   if (deployed.rows() != deployed.cols() ||
       deployed.rows() != static_cast<size_t>(n) + 1) {
@@ -353,20 +354,9 @@ Result<ExactOptimalResult> SolveOptimalInteractionExact(
     }
   }
 
-  ExactSimplexSolver solver;
-  GEOPRIV_ASSIGN_OR_RETURN(ExactLpSolution solution, solver.Solve(lp));
-  if (solution.status != LpStatus::kOptimal) {
-    return Status::Infeasible("exact optimal-interaction LP did not solve");
-  }
-  RationalMatrix t = ExtractMatrix(solution.values, n);
-  if (!t.IsRowStochastic()) {
-    return Status::Internal("exact LP produced a non-stochastic interaction");
-  }
-  return ExactOptimalResult{std::move(t), std::move(solution.objective),
-                            solution.iterations,
-                            solution.phase1_iterations,
-                            solution.phase2_iterations, false,
-                            std::move(solution.basis)};
+  GEOPRIV_ASSIGN_OR_RETURN(ExactLpSolution solution,
+                           ExactSimplexSolver(options).Solve(lp));
+  return PackResult(std::move(solution), n, "interaction");
 }
 
 }  // namespace geopriv

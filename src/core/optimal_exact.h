@@ -107,10 +107,12 @@ Result<ExactLpProblem> BuildOptimalMechanismLpExact(
 /// Section 2.4.3 LP over Q: the consumer's optimal interaction with a
 /// deployed mechanism.  `deployed` must be (n+1)x(n+1) row-stochastic.
 /// The returned matrix is T; the loss is of the induced mechanism
-/// deployed·T.
+/// deployed·T.  `options` reaches the solver unchanged (deadline, cancel,
+/// pool, warm start): interaction LPs over one (n, side) share a shape, so
+/// any loss's or alpha's basis can seed another's solve.
 Result<ExactOptimalResult> SolveOptimalInteractionExact(
     const RationalMatrix& deployed, const ExactLossFunction& loss,
-    const SideInformation& side);
+    const SideInformation& side, const ExactSimplexOptions& options = {});
 
 }  // namespace geopriv
 

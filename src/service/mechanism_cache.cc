@@ -102,6 +102,26 @@ Result<std::vector<std::string>> ParseManifest(const std::string& text) {
   return stems;
 }
 
+// The mechanism every entry deploys: G_{n,alpha}.  alpha = 1 (a valid
+// exact-mode level) has no geometric mechanism, so it deploys G's
+// alpha -> 1 limit, whose every row puts 1/2 on each end of {0..n}.  That
+// matrix is 1-DP, and post-processing it reaches every 1-DP mechanism (all
+// rows equal q, from T's rows 0 and n both set to q), so Theorem 1's
+// argument still holds.
+Result<RationalMatrix> DeployedGeometric(int n, const Rational& alpha) {
+  if (alpha != Rational(1)) {
+    return GeometricMechanism::BuildExactMatrix(n, alpha);
+  }
+  const size_t size = static_cast<size_t>(n) + 1;
+  RationalMatrix limit(size, size);
+  GEOPRIV_ASSIGN_OR_RETURN(const Rational half, Rational::FromInts(1, 2));
+  for (size_t i = 0; i < size; ++i) {
+    limit.At(i, 0) += half;
+    limit.At(i, size - 1) += half;  // n = 0: both halves land on {0}
+  }
+  return limit;
+}
+
 // Miss solves are millisecond-scale, so the clock reads and interned
 // lookups below are noise there; the hit path records nothing.
 void RecordSolveMetrics(const ServedMechanism& entry, double micros) {
@@ -163,16 +183,19 @@ Result<ServedMechanism> MechanismCache::SolveLocked(
   GEOPRIV_ASSIGN_OR_RETURN(ExactLossFunction loss, signature.ResolveLoss());
   GEOPRIV_ASSIGN_OR_RETURN(SideInformation side, signature.ResolveSide());
 
+  // Theorem 1: every entry deploys G_{n,alpha} and post-processes it with
+  // the consumer's interaction T.  Geometric mode serves G itself (T = I);
+  // exact mode serves G·T*, where T* solves the Section 2.4.3 LP.  G·T* is
+  // alpha-DP because post-processing preserves it, and its loss is the
+  // Section 2.5 optimum -- from an LP with no privacy rows.
+  GEOPRIV_ASSIGN_OR_RETURN(RationalMatrix deployed,
+                           DeployedGeometric(signature.n, signature.alpha));
   ServedMechanism entry;
   entry.signature = signature;
-
   if (signature.mode == ServeMode::kGeometric) {
-    GEOPRIV_ASSIGN_OR_RETURN(
-        RationalMatrix matrix,
-        GeometricMechanism::BuildExactMatrix(signature.n, signature.alpha));
     GEOPRIV_ASSIGN_OR_RETURN(Rational worst,
-                             ExactWorstCaseLoss(matrix, loss, side));
-    entry.exact = std::move(matrix);
+                             ExactWorstCaseLoss(deployed, loss, side));
+    entry.exact = std::move(deployed);
     entry.loss = std::move(worst);
   } else {
     ExactSimplexOptions solver = options_.solver;
@@ -180,8 +203,8 @@ Result<ServedMechanism> MechanismCache::SolveLocked(
     solver.pool = pool_.get();
     solver.threads = 1;  // never spawn per-solve workers; pool_ is the pool
     solver.deadline_ms = deadline_ms;
-    Result<ExactOptimalResult> solved = SolveOptimalMechanismExact(
-        signature.n, signature.alpha, loss, side, solver);
+    Result<ExactOptimalResult> solved =
+        SolveOptimalInteractionExact(deployed, loss, side, solver);
     if (!solved.ok() && !solved.status().IsDeadlineExceeded() &&
         warm_seed != nullptr) {
       // A seed that does not fit (or drove the solver into a corner) must
@@ -189,11 +212,10 @@ Result<ServedMechanism> MechanismCache::SolveLocked(
       // out warm attempt is the one exception — retrying cold would spend
       // the deadline twice.
       solver.warm_start = nullptr;
-      solved = SolveOptimalMechanismExact(signature.n, signature.alpha, loss,
-                                          side, solver);
+      solved = SolveOptimalInteractionExact(deployed, loss, side, solver);
     }
     GEOPRIV_ASSIGN_OR_RETURN(ExactOptimalResult result, std::move(solved));
-    entry.exact = std::move(result.matrix);
+    entry.exact = deployed * result.matrix;
     entry.loss = std::move(result.loss);
     entry.basis = std::move(result.basis);
     entry.lp_iterations = result.lp_iterations;
@@ -201,6 +223,7 @@ Result<ServedMechanism> MechanismCache::SolveLocked(
     entry.phase2_iterations = result.phase2_iterations;
     entry.warm_started = result.warm_started;
   }
+  entry.loss_text = entry.loss.ToString();
 
   GEOPRIV_ASSIGN_OR_RETURN(Mechanism mechanism,
                            Mechanism::FromExact(entry.exact));
@@ -708,7 +731,8 @@ Result<ServedMechanism> ParseAndValidateEntry(const std::string& text) {
   // ledger charges for, so a tampered or corrupted matrix must never be
   // served under it (a file swapped for the identity matrix would turn
   // the service into a plaintext oracle billed at alpha).  Geometric
-  // entries must equal the closed form exactly; LP entries must satisfy
+  // entries must equal the closed form exactly; exact-mode entries (G·T*,
+  // or a Section 2.5 optimum persisted by an older build) must satisfy
   // Definition 2 exactly (a tampered-but-DP matrix can only cost
   // utility, never privacy).
   if (signature.mode == ServeMode::kGeometric) {
@@ -740,6 +764,7 @@ Result<ServedMechanism> ParseAndValidateEntry(const std::string& text) {
   GEOPRIV_ASSIGN_OR_RETURN(Rational worst,
                            ExactWorstCaseLoss(exact, loss, side));
   entry.loss = std::move(worst);
+  entry.loss_text = entry.loss.ToString();
   GEOPRIV_ASSIGN_OR_RETURN(Mechanism mechanism, Mechanism::FromExact(exact));
   GEOPRIV_RETURN_IF_ERROR(mechanism.PrepareSamplers());
   entry.exact = std::move(exact);
@@ -872,7 +897,15 @@ Result<MechanismCache::LoadReport> MechanismCache::LoadFromDirectory(
           basis_text.ok()
               ? ParseBasisDoc(*basis_text, &basis_key)
               : Result<std::vector<size_t>>(basis_text.status());
-      if (columns.ok() && basis_key == entry.signature.CanonicalKey()) {
+      if (!columns.ok() && columns.status().IsFailedPrecondition()) {
+        // A v1 basis from the Section 2.5 LP: intact, but it cannot seed
+        // an interaction LP.  Not evidence of corruption, so it is removed
+        // rather than quarantined; the entry serves without a seed.
+        std::error_code remove_ec;
+        fs::remove(basis_path, remove_ec);
+        ++report.debris_removed;
+      } else if (columns.ok() &&
+                 basis_key == entry.signature.CanonicalKey()) {
         // A restored basis re-arms warm starts; a bad one could at worst
         // cost a wasted warm attempt (SolveLocked falls back to cold),
         // but the checksum means we never even try a corrupt one.

@@ -1,7 +1,10 @@
 // Sharded solve cache: the mechanism service's hot core.
 //
-// Solving the Section 2.5 LP over Q costs milliseconds to minutes; looking
-// a solved mechanism up costs a hash and a mutex.  A data owner serving
+// An exact-mode entry is the paper's Theorem 1 made concrete: the geometric
+// mechanism G_{n,alpha} post-processed by the consumer's optimal
+// interaction T*, found by the Section 2.4.3 LP over Q.  That solve costs
+// milliseconds to seconds; looking a solved mechanism up costs a hash and
+// a mutex.  A data owner serving
 // many consumers sees the same problems over and over — the same (n, alpha,
 // loss, side) tuples negotiated into contracts — so the service keeps every
 // solved mechanism, keyed by its canonical signature (signature.h).
@@ -66,12 +69,18 @@ namespace geopriv {
 /// One solved, immutable, ready-to-sample cache entry.
 struct ServedMechanism {
   MechanismSignature signature;
-  /// Exact row-stochastic matrix (LP optimum or G); the placeholder shape
-  /// is replaced before an entry is published.
+  /// Exact row-stochastic matrix: G_{n,alpha} in geometric mode, G·T* in
+  /// exact mode (T* the optimal interaction); the placeholder shape is
+  /// replaced before an entry is published.
   RationalMatrix exact{0, 0};
   Rational loss;          ///< exact minimax loss over the signature's side
+  /// `loss` as wire text, rendered once when the entry is built or loaded
+  /// so a reply copies no Rational and converts no BigInt.
+  std::string loss_text;
   Mechanism mechanism = Mechanism::Identity(0);  ///< double view, prepared
-  LpBasis basis;          ///< warm-start seed for neighbors (may be empty)
+  /// Optimal basis of the interaction LP: a warm-start seed for neighbors
+  /// (empty in geometric mode).
+  LpBasis basis;
   int lp_iterations = 0;  ///< pivots of the producing solve (0 = no LP)
   int phase1_iterations = 0;  ///< pivots spent finding feasibility
   int phase2_iterations = 0;  ///< pivots spent optimizing
@@ -184,7 +193,8 @@ class MechanismCache {
     int loaded = 0;         ///< entries now serving from this load
     int quarantined = 0;    ///< corrupt/claim-violating files quarantined
     int basis_reloads = 0;  ///< entries whose warm-start basis survived
-    int debris_removed = 0;  ///< stale *.tmp and unmanifested files removed
+    /// stale *.tmp, unmanifested files and v1 bases removed
+  int debris_removed = 0;
   };
 
   /// Loads the manifested entries under `dir` into the cache.  A corrupt,
@@ -195,7 +205,9 @@ class MechanismCache {
   /// manifest commit, or mid-eviction unlink) is removed as debris so an
   /// evicted entry can never resurrect.  A directory with entries but no
   /// manifest (written before manifests existed) loads every valid entry
-  /// and adopts it.  Stale "*.tmp" files are swept.  After a successful
+  /// and adopts it.  Stale "*.tmp" files are swept, and so is a v1 basis
+  /// (a Section 2.5 LP basis, which cannot seed the interaction LP): its
+  /// entry still loads, without a seed.  After a successful
   /// load the manifest is rewritten to match the loaded set.  A missing
   /// directory loads nothing.
   Result<LoadReport> LoadFromDirectory(const std::string& dir);

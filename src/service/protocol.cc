@@ -446,12 +446,15 @@ Result<ServiceRequest> ParseRequestLine(std::string_view line) {
   }
   GEOPRIV_ASSIGN_OR_RETURN(ServeMode mode, ServeModeFromString(mode_name));
   // The n ceiling is a denial-of-service guard sized to what one entry
-  // actually COSTS, in CPU as well as memory: exact LP solves serialize
-  // on one solver mutex and grow superlinearly (n=16 is seconds, n=32 is
-  // the practical edge), so the exact cap keeps one request from parking
-  // the solve mutex for hours; a geometric entry is closed-form but holds
-  // (n+1)^2 exact rationals plus samplers — n=1024 is ~50 MB, n=10^6
-  // would be an unauthenticated one-line OOM.
+  // actually COSTS, in CPU as well as memory: exact solves serialize on
+  // one solver mutex and grow superlinearly.  A cold interaction-LP solve
+  // at alpha=1/2 on one thread of a 4-core x86 host took 74-270 ms at
+  // n=16, ~1.6 s at n=24, 2.5-6.0 s at n=32 and ~11 s at n=40 (two
+  // threads); larger denominators cost far more (n=32 at alpha=31/32:
+  // 193 s), so the exact cap bounds how long one request can park the
+  // solve mutex; a geometric entry is closed-form but holds (n+1)^2
+  // exact rationals plus samplers — n=1024 is ~50 MB, n=10^6 would be an
+  // unauthenticated one-line OOM.
   const int64_t max_n = mode == ServeMode::kGeometric ? 1024 : 32;
   GEOPRIV_ASSIGN_OR_RETURN(int64_t n, int_field(kN));
   if (n < 0 || n > max_n) {
@@ -607,8 +610,13 @@ void AppendQueryReply(const ServiceQuery& query, const ServiceReply& reply,
       *out += ",\"released\":";
       AppendJsonInt(reply.released, out);
     }
+    // A rendered Rational is digits, '-' and '/': nothing to escape.
     *out += ",\"loss\":\"";
-    AppendJsonEscaped(reply.optimal_loss.ToString(), out);
+    if (reply.served != nullptr) {
+      *out += reply.served->loss_text;
+    } else {
+      *out += reply.optimal_loss.ToString();
+    }
     *out += "\"";
   } else {
     *out += ",\"error\":\"";

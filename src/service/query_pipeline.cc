@@ -244,7 +244,7 @@ std::vector<ServiceReply> QueryPipeline::ExecuteBatch(
     }
     reply.cache = group.cache;
     if (group.entry != nullptr) {
-      reply.optimal_loss = group.entry->loss;
+      reply.served = group.entry;
       reply.lp_iterations = group.entry->lp_iterations;
     }
     if (query.true_count < 0 || query.true_count > query.signature.n) {

@@ -18,6 +18,7 @@
 #define GEOPRIV_SERVICE_QUERY_PIPELINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,7 +72,13 @@ struct ServiceReply {
   double level_after = 1.0;      ///< consumer's composed level after charge
   double composed_level = 1.0;   ///< level the release composes/composed to
   double budget = 0.0;           ///< the ledger's floor
-  Rational optimal_loss;         ///< the served mechanism's exact loss
+  /// The entry that served the query.  Its loss text, rendered once at
+  /// publish, is the reply's "loss" field; holding the entry keeps that
+  /// text alive until the reply is formatted.
+  std::shared_ptr<const ServedMechanism> served;
+  /// The exact loss of a reply built outside the pipeline (no `served`);
+  /// it is rendered when the reply is formatted.
+  Rational optimal_loss;
   /// "hit" | "warm" | "cold" | "skipped" | "shed" | "none"
   const char* cache = "none";
   int lp_iterations = 0;

@@ -2,11 +2,12 @@
 //
 // A signature names one solvable problem: "the optimal alpha-DP mechanism
 // for database size n, loss l and side information {lo..hi}" (kExactOptimal,
-// the Section 2.5 LP over Q) or "the range-restricted geometric mechanism
-// G_{n,alpha}" (kGeometric, Definition 4's closed form).  Two textually
-// different requests that mean the same problem must collide, so Create
-// canonicalizes: alpha is reduced to lowest terms, the loss name to its
-// catalog spelling, and the side interval validated against n.
+// the Section 2.5 optimum, served as G_{n,alpha} followed by the consumer's
+// optimal interaction: Theorem 1) or "the range-restricted geometric
+// mechanism G_{n,alpha}" (kGeometric, Definition 4's closed form).  Two
+// textually different requests that mean the same problem must collide, so
+// Create canonicalizes: alpha is reduced to lowest terms, the loss name to
+// its catalog spelling, and the side interval validated against n.
 //
 // Two derived keys drive the solve cache (mechanism_cache.h):
 //   * CanonicalKey() — the full identity; the cache's map key and the
@@ -35,7 +36,7 @@ namespace geopriv {
 
 /// Which family of mechanisms a signature asks the service for.
 enum class ServeMode {
-  kExactOptimal,  ///< per-consumer optimum: the Section 2.5 LP over Q
+  kExactOptimal,  ///< per-consumer optimum: G_{n,alpha}·T* (Theorem 1)
   kGeometric,     ///< G_{n,alpha} (closed form; no LP solve)
 };
 

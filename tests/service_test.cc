@@ -134,23 +134,32 @@ TEST(MechanismCacheTest, HitReturnsBitIdenticalMechanismToColdSolve) {
   MechanismCache cache;
   const MechanismSignature sig = Sig(5, R(1, 2));
 
-  // The reference answer: a plain cold solve outside the cache.
-  auto reference = SolveOptimalMechanismExact(
+  // The reference matrix: G_{5,1/2} post-processed by the consumer's
+  // optimal interaction, computed outside the cache (Theorem 1).
+  auto g = GeometricMechanism::BuildExactMatrix(5, R(1, 2));
+  ASSERT_TRUE(g.ok());
+  auto interaction = SolveOptimalInteractionExact(
+      *g, ExactLossFunction::AbsoluteError(), SideInformation::All(5));
+  ASSERT_TRUE(interaction.ok());
+  const RationalMatrix reference = *g * interaction->matrix;
+  // The reference loss: the Section 2.5 LP's optimum.
+  auto optimum = SolveOptimalMechanismExact(
       5, R(1, 2), ExactLossFunction::AbsoluteError(), SideInformation::All(5));
-  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(optimum.ok());
 
   bool hit = true;
   auto first = cache.GetOrSolve(sig, &hit);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_FALSE(hit);
-  EXPECT_TRUE((*first)->exact == reference->matrix);       // operator==, exact
-  EXPECT_TRUE((*first)->loss == reference->loss);
+  EXPECT_TRUE((*first)->exact == reference);       // operator==, exact
+  EXPECT_TRUE((*first)->loss == optimum->loss);
+  EXPECT_TRUE((*first)->loss == interaction->loss);
 
   auto second = cache.GetOrSolve(sig, &hit);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(hit);
   EXPECT_EQ(first->get(), second->get());  // the same immutable entry
-  EXPECT_TRUE((*second)->exact == reference->matrix);
+  EXPECT_TRUE((*second)->exact == reference);
 
   const MechanismCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits, 1u);
@@ -193,6 +202,8 @@ TEST(MechanismCacheTest, GeometricModeServesClosedForm) {
   ASSERT_TRUE(expected.ok());
   EXPECT_TRUE((*entry)->exact == *expected);
   EXPECT_EQ((*entry)->lp_iterations, 0);
+  EXPECT_TRUE((*entry)->basis.empty());
+  EXPECT_EQ((*entry)->loss_text, (*entry)->loss.ToString());
   // The geometric mechanism can never beat the per-consumer LP optimum
   // (Theorem 1: it matches it only after the consumer's interaction).
   auto optimum = cache.GetOrSolve(Sig(6, R(1, 3)));
@@ -930,6 +941,9 @@ TEST(MechanismServiceTest, ScriptedSessionEnforcesBudget) {
   EXPECT_NE(first.find("\"ok\":true"), std::string::npos) << first;
   EXPECT_NE(first.find("\"cache\":\"cold\""), std::string::npos) << first;
   EXPECT_NE(first.find("\"level\":0.5"), std::string::npos) << first;
+  // The entry's loss text, rendered once at publish: the Section 2.5
+  // optimum for this consumer.
+  EXPECT_NE(first.find("\"loss\":\"212/231\""), std::string::npos) << first;
 
   // Second release composes to 1/4 < 0.3: rejected with the exact level.
   const std::string second = service.HandleLine(query, &shutdown);
