@@ -5,7 +5,9 @@
 // strictly worse.
 //
 // Prints the loss table over a consumer grid (loss function x side
-// information x alpha), then benchmarks the consumer-side LP.
+// information x alpha), then benchmarks the consumer-side LP exact mode
+// serves (the exact interaction LP on G_{n,1/2}, pivots printed) and the
+// double-precision per-consumer optimal LP.
 
 #include <cstdio>
 #include <string>
@@ -16,6 +18,7 @@
 #include "core/consumer.h"
 #include "core/geometric.h"
 #include "core/optimal.h"
+#include "core/optimal_exact.h"
 
 namespace {
 
@@ -85,13 +88,20 @@ int main(int argc, char** argv) {
   geopriv::bench::Harness h("bench_universal_optimality", argc, argv);
   using geopriv::bench::DoNotOptimize;
 
+  const Rational half = *Rational::FromInts(1, 2);
   for (int n : {4, 8, 12}) {
-    auto consumer = *MinimaxConsumer::Create(LossFunction::AbsoluteError(),
-                                             SideInformation::All(n));
-    auto geo = *GeometricMechanism::Create(n, 0.5)->ToMechanism();
+    const RationalMatrix geo = *GeometricMechanism::BuildExactMatrix(n, half);
+    const ExactLossFunction loss = ExactLossFunction::AbsoluteError();
+    const SideInformation side = SideInformation::All(n);
     h.Run("ConsumerInteractionLp/n=" + std::to_string(n), [&] {
-      DoNotOptimize(SolveOptimalInteraction(geo, consumer));
+      DoNotOptimize(SolveOptimalInteractionExact(geo, loss, side));
     });
+    const auto solved = SolveOptimalInteractionExact(geo, loss, side);
+    if (!solved.ok()) return 1;
+    std::printf("  ConsumerInteractionLp/n=%d: %d pivots (phase 1 %d, "
+                "phase 2 %d)\n",
+                n, solved->lp_iterations, solved->phase1_iterations,
+                solved->phase2_iterations);
   }
   for (int n : {4, 8, 12}) {
     auto consumer = *MinimaxConsumer::Create(LossFunction::AbsoluteError(),

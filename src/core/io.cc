@@ -15,8 +15,9 @@ namespace {
 constexpr char kHeaderV1[] = "geopriv-mechanism v1";
 constexpr char kHeaderV2[] = "geopriv-mechanism v2";
 constexpr char kHeaderV3[] = "geopriv-mechanism v3";
-constexpr char kBasisHeader[] = "geopriv-basis v2";
+constexpr char kBasisHeader[] = "geopriv-basis v3";
 constexpr char kBasisHeaderV1[] = "geopriv-basis v1";
+constexpr char kBasisHeaderV2[] = "geopriv-basis v2";
 
 // Reads a "checksum <16 hex>" line from `in` and verifies it against the
 // FNV-1a digest of everything that follows it.  On success leaves `in`
@@ -247,12 +248,13 @@ Result<std::vector<size_t>> ParseBasisDoc(const std::string& text,
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kBasisHeader) {
-    if (line == kBasisHeaderV1) {
+    if (line == kBasisHeaderV1 || line == kBasisHeaderV2) {
+      // v1: a Section 2.5 LP basis; v2: an unreduced interaction LP basis.
       return Status::FailedPrecondition(
-          "basis document v1 holds a Section 2.5 LP basis, which does not "
-          "fit the interaction LP");
+          "'" + line + "' holds a basis of an LP whose columns differ from "
+          "the reduced interaction LP");
     }
-    return Status::InvalidArgument("missing 'geopriv-basis v2' header");
+    return Status::InvalidArgument("missing 'geopriv-basis v3' header");
   }
   GEOPRIV_RETURN_IF_ERROR(ConsumeChecksumLine(in, "basis document"));
   if (!std::getline(in, line) || line.compare(0, 4, "key ") != 0) {

@@ -90,7 +90,7 @@ std::string Fnv1a64Hex(const std::string& bytes);
 // so a restarted daemon warm-starts exactly as a live cache does.  The
 // format mirrors v3's checksum discipline:
 //
-//   geopriv-basis v2
+//   geopriv-basis v3
 //   checksum <16 hex digits>
 //   key <canonical signature key>
 //   columns <k> <c_0> <c_1> ... <c_{k-1}>
@@ -98,8 +98,10 @@ std::string Fnv1a64Hex(const std::string& bytes);
 // where the checksum covers everything after its own line and the columns
 // are the basic column indices of an LpBasis, sorted and duplicate-free.
 // The column vector is passed as plain indices so core/ stays independent
-// of lp/.  v2 bases belong to the Section 2.4.3 interaction LP; v1 bases
-// belonged to the Section 2.5 LP, whose shape differs.
+// of lp/.  v3 bases belong to the reduced Section 2.4.3 interaction LP
+// (outputs on hull(S), one output per row eliminated; see
+// SolveOptimalInteractionExact).  v2 bases belonged to the unreduced
+// interaction LP and v1 bases to the Section 2.5 LP; both shapes differ.
 
 /// Serializes a basis document for `key` with the given basic columns.
 std::string SerializeBasisDoc(const std::string& key,
@@ -107,8 +109,8 @@ std::string SerializeBasisDoc(const std::string& key,
 
 /// Parses a basis document; validates header, checksum, and that the
 /// columns are sorted and duplicate-free.  Returns the basic columns and
-/// stores the embedded canonical key in `*key_out` (if non-null).  A v1
-/// document is not corrupt but stale: it fails with FailedPrecondition.
+/// stores the embedded canonical key in `*key_out` (if non-null).  A v1 or
+/// v2 document is not corrupt but stale: it fails with FailedPrecondition.
 Result<std::vector<size_t>> ParseBasisDoc(const std::string& text,
                                           std::string* key_out);
 

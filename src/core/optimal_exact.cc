@@ -160,11 +160,10 @@ Result<ExactLpProblem> BuildOptimalMechanismLpExact(
 
 namespace {
 
-// Solution -> ExactOptimalResult, shared by both LPs' single solves and the
-// warm-started sweeps.  `what` names the LP's matrix in messages
-// ("mechanism" or "interaction").
-Result<ExactOptimalResult> PackResult(ExactLpSolution solution, int n,
-                                      const std::string& what) {
+// Rejects a solve that certified nothing.  `what` names the LP's matrix in
+// messages ("mechanism" or "interaction").
+Status RequireOptimal(const ExactLpSolution& solution,
+                      const std::string& what) {
   if (solution.status == LpStatus::kCancelled) {
     // A timed-out solve proved nothing about feasibility; reporting it as
     // Infeasible would let a transient deadline masquerade as a property
@@ -175,17 +174,33 @@ Result<ExactOptimalResult> PackResult(ExactLpSolution solution, int n,
   if (solution.status != LpStatus::kOptimal) {
     return Status::Infeasible("exact optimal-" + what + " LP did not solve");
   }
-  RationalMatrix matrix = ExtractMatrix(solution.values, n);
+  return Status::OK();
+}
+
+// An optimal solve plus its matrix and loss -> ExactOptimalResult.
+Result<ExactOptimalResult> PackResult(ExactLpSolution solution,
+                                      RationalMatrix matrix, Rational loss,
+                                      const std::string& what) {
   if (!matrix.IsRowStochastic()) {
     return Status::Internal("exact LP produced a non-stochastic " + what);
   }
   return ExactOptimalResult{std::move(matrix),
-                            std::move(solution.objective),
+                            std::move(loss),
                             solution.iterations,
                             solution.phase1_iterations,
                             solution.phase2_iterations,
                             solution.warm_started,
                             std::move(solution.basis)};
+}
+
+// Section 2.5 solution -> ExactOptimalResult, shared by the single solve
+// and the warm-started sweeps.
+Result<ExactOptimalResult> PackMechanism(ExactLpSolution solution, int n) {
+  GEOPRIV_RETURN_IF_ERROR(RequireOptimal(solution, "mechanism"));
+  RationalMatrix matrix = ExtractMatrix(solution.values, n);
+  Rational loss = std::move(solution.objective);
+  return PackResult(std::move(solution), std::move(matrix), std::move(loss),
+                    "mechanism");
 }
 
 }  // namespace
@@ -197,7 +212,7 @@ Result<ExactOptimalResult> SolveOptimalMechanismExact(
                            BuildOptimalMechanismLpExact(n, alpha, loss, side));
   ExactSimplexSolver solver(options);
   GEOPRIV_ASSIGN_OR_RETURN(ExactLpSolution solution, solver.Solve(lp));
-  return PackResult(std::move(solution), n, "mechanism");
+  return PackMechanism(std::move(solution), n);
 }
 
 Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactSweep(
@@ -276,7 +291,7 @@ Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactSweep(
   out.reserve(count);
   for (ExactLpSolution& solution : solutions) {
     GEOPRIV_ASSIGN_OR_RETURN(ExactOptimalResult result,
-                             PackResult(std::move(solution), n, "mechanism"));
+                             PackMechanism(std::move(solution), n));
     out.push_back(std::move(result));
   }
   return out;
@@ -299,7 +314,7 @@ Result<std::vector<ExactOptimalResult>> SolveOptimalMechanismExactLossSweep(
   out.reserve(solutions.size());
   for (ExactLpSolution& solution : solutions) {
     GEOPRIV_ASSIGN_OR_RETURN(ExactOptimalResult result,
-                             PackResult(std::move(solution), n, "mechanism"));
+                             PackMechanism(std::move(solution), n));
     out.push_back(std::move(result));
   }
   return out;
@@ -318,45 +333,76 @@ Result<ExactOptimalResult> SolveOptimalInteractionExact(
   }
   GEOPRIV_RETURN_IF_ERROR(loss.ValidateMonotone(n));
 
+  // The reduced LP of the header comment: outputs limited to
+  // [lo, hi] = hull(S), output r0 eliminated from every row of T, and the
+  // epigraph variable d replaced by e = d0 - d.  Column r * width + k is
+  // T[r][kept[k]].
+  const std::vector<int>& members = side.members();
+  const int r0 = members[(members.size() - 1) / 2];
+  std::vector<int> kept;  // [lo, hi] \ {r0}
+  for (int rp = members.front(); rp <= members.back(); ++rp) {
+    if (rp != r0) kept.push_back(rp);
+  }
+  const size_t width = kept.size();
+  const size_t size = static_cast<size_t>(n) + 1;
+
   ExactLpProblem lp;
-  const int size = n + 1;
-  for (int r = 0; r < size; ++r) {
-    for (int rp = 0; rp < size; ++rp) {
+  for (size_t r = 0; r < size; ++r) {
+    for (const int rp : kept) {
       lp.AddVariable("T_" + std::to_string(r) + "_" + std::to_string(rp),
                      Rational(0));
     }
   }
-  const int d_var = lp.AddVariable("d", Rational(1));
+  const int e_var = lp.AddVariable("e", Rational(-1));
 
-  // Streamed rows, with the per-i loss values hoisted out of the inner
-  // product so loss(i, ·) is evaluated O(n) instead of O(n²) times per row.
-  std::vector<Rational> loss_row(static_cast<size_t>(size));
-  for (int i : side.members()) {
-    for (int rp = 0; rp < size; ++rp) {
-      loss_row[static_cast<size_t>(rp)] = loss(i, rp);
-    }
-    lp.BeginConstraint(RowRelation::kLessEqual, Rational(0));
-    for (int r = 0; r < size; ++r) {
-      const Rational& y =
-          deployed.At(static_cast<size_t>(i), static_cast<size_t>(r));
+  Rational d0(0);
+  for (const int i : members) {
+    Rational l = loss(i, r0);
+    if (l > d0) d0 = std::move(l);
+  }
+  // Loss rows, streamed with the differences l(i, kept[k]) - l(i, r0)
+  // hoisted out of the product with G's row.
+  std::vector<Rational> diff(width);
+  for (const int i : members) {
+    const Rational base = loss(i, r0);
+    for (size_t k = 0; k < width; ++k) diff[k] = loss(i, kept[k]) - base;
+    lp.BeginConstraint(RowRelation::kLessEqual, d0 - base);
+    for (size_t r = 0; r < size; ++r) {
+      const Rational& y = deployed.At(static_cast<size_t>(i), r);
       if (y.IsZero()) continue;
-      for (int rp = 0; rp < size; ++rp) {
-        const Rational& l = loss_row[static_cast<size_t>(rp)];
-        if (!l.IsZero()) lp.AddTerm(CellVar(r, rp, n), y * l);
+      for (size_t k = 0; k < width; ++k) {
+        if (!diff[k].IsZero()) {
+          lp.AddTerm(static_cast<int>(r * width + k), y * diff[k]);
+        }
       }
     }
-    lp.AddTerm(d_var, Rational(-1));
+    lp.AddTerm(e_var, Rational(1));
   }
-  for (int r = 0; r < size; ++r) {
-    lp.BeginConstraint(RowRelation::kEqual, Rational(1));
-    for (int rp = 0; rp < size; ++rp) {
-      lp.AddTerm(CellVar(r, rp, n), Rational(1));
+  // Row r of T: the kept outputs take at most all of its mass; r0 takes
+  // the rest.
+  for (size_t r = 0; r < size; ++r) {
+    lp.BeginConstraint(RowRelation::kLessEqual, Rational(1));
+    for (size_t k = 0; k < width; ++k) {
+      lp.AddTerm(static_cast<int>(r * width + k), Rational(1));
     }
   }
 
   GEOPRIV_ASSIGN_OR_RETURN(ExactLpSolution solution,
                            ExactSimplexSolver(options).Solve(lp));
-  return PackResult(std::move(solution), n, "interaction");
+  GEOPRIV_RETURN_IF_ERROR(RequireOptimal(solution, "interaction"));
+  RationalMatrix t(size, size);
+  for (size_t r = 0; r < size; ++r) {
+    Rational rest(1);
+    for (size_t k = 0; k < width; ++k) {
+      const Rational& v = solution.values[r * width + k];
+      t.At(r, static_cast<size_t>(kept[k])) = v;
+      rest -= v;
+    }
+    t.At(r, static_cast<size_t>(r0)) = std::move(rest);
+  }
+  Rational optimum = d0 + solution.objective;
+  return PackResult(std::move(solution), std::move(t), std::move(optimum),
+                    "interaction");
 }
 
 }  // namespace geopriv

@@ -110,6 +110,29 @@ Result<ExactLpProblem> BuildOptimalMechanismLpExact(
 /// deployed·T.  `options` reaches the solver unchanged (deadline, cancel,
 /// pool, warm start): interaction LPs over one (n, side) share a shape, so
 /// any loss's or alpha's basis can seed another's solve.
+///
+/// The LP solved is an exact reformulation of min d s.t.
+/// sum_r G[i][r] sum_r' l(i,r') T[r][r'] <= d (i in S), T row-stochastic,
+/// whose n+1 equality rows would otherwise cost every cold solve a
+/// phase 1.  Three steps, each sound for every loss ValidateMonotone
+/// admits and every row-stochastic G:
+///   1. Outputs are limited to hull(S) = [min S, max S].  Moving the mass
+///      T puts on an output below min S up to min S (or above max S down
+///      to max S) brings it nearer every i in S, so a monotone loss
+///      l(i,·) does not rise for any i in S and the optimum is unchanged.
+///   2. One output r0 per row is eliminated (r0 is the median member of
+///      S, the lower one when |S| is even): T[r][r0] = 1 - sum_{r' != r0}
+///      T[r][r'], so each equality row becomes sum_{r' != r0} T[r][r'] <= 1.
+///   3. d = d0 - e with d0 = max_{i in S} l(i, r0), the loss of "every
+///      output maps to r0", so the optimum has e >= 0.  Since G's rows sum
+///      to 1, loss row i becomes
+///        sum_r G[i][r] sum_{r' != r0} (l(i,r') - l(i,r0)) T[r][r'] + e
+///            <= d0 - l(i, r0),
+///      and the objective is min -e.
+/// Every right-hand side is then >= 0, so the slack basis ("every output
+/// maps to r0") is feasible and a cold solve starts in phase 2.  T is
+/// rebuilt exactly from the solution, and the loss is d0 - e*.  The shape
+/// depends only on (n, S), as before.
 Result<ExactOptimalResult> SolveOptimalInteractionExact(
     const RationalMatrix& deployed, const ExactLossFunction& loss,
     const SideInformation& side, const ExactSimplexOptions& options = {});

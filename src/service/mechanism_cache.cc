@@ -898,9 +898,10 @@ Result<MechanismCache::LoadReport> MechanismCache::LoadFromDirectory(
               ? ParseBasisDoc(*basis_text, &basis_key)
               : Result<std::vector<size_t>>(basis_text.status());
       if (!columns.ok() && columns.status().IsFailedPrecondition()) {
-        // A v1 basis from the Section 2.5 LP: intact, but it cannot seed
-        // an interaction LP.  Not evidence of corruption, so it is removed
-        // rather than quarantined; the entry serves without a seed.
+        // A v1 basis (Section 2.5 LP) or v2 basis (unreduced interaction
+        // LP): intact, but it cannot seed the reduced interaction LP.  Not
+        // evidence of corruption, so it is removed rather than
+        // quarantined; the entry serves without a seed.
         std::error_code remove_ec;
         fs::remove(basis_path, remove_ec);
         ++report.debris_removed;

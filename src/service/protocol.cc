@@ -448,11 +448,12 @@ Result<ServiceRequest> ParseRequestLine(std::string_view line) {
   // The n ceiling is a denial-of-service guard sized to what one entry
   // actually COSTS, in CPU as well as memory: exact solves serialize on
   // one solver mutex and grow superlinearly.  A cold interaction-LP solve
-  // at alpha=1/2 on one thread of a 4-core x86 host took 74-270 ms at
-  // n=16, ~1.6 s at n=24, 2.5-6.0 s at n=32 and ~11 s at n=40 (two
-  // threads); larger denominators cost far more (n=32 at alpha=31/32:
-  // 193 s), so the exact cap bounds how long one request can park the
-  // solve mutex; a geometric entry is closed-form but holds (n+1)^2
+  // (absolute loss, S = {0..n}) on one thread of a 4-core x86 host took
+  // ~1.5 s at n=24, ~4.5 s at n=32 and ~20 s at n=40 (~11 s on two
+  // threads) at alpha=1/2; larger denominators cost more (n=32: ~15 s at
+  // alpha=31/32, and ~4 s at alpha=9/10 with squared loss), so the exact
+  // cap bounds how long one request can park the solve mutex; a
+  // geometric entry is closed-form but holds (n+1)^2
   // exact rationals plus samplers — n=1024 is ~50 MB, n=10^6 would be an
   // unauthenticated one-line OOM.
   const int64_t max_n = mode == ServeMode::kGeometric ? 1024 : 32;

@@ -186,71 +186,76 @@ TEST(DurabilityTest, RestartReloadsBasisAndWarmStartsLikeALiveCache) {
 
 TEST(DurabilityTest, Section25EntryWithV1BasisServesAndItsBasisIsDropped) {
   // A store written before exact mode went through Theorem 1 holds a
-  // Section 2.5 optimum and that LP's basis (basis document v1).  The
-  // entry is still alpha-DP with the optimal loss, so it loads and serves
-  // hits; the basis fits a different LP, so it is dropped -- neither used
-  // as a seed nor quarantined -- and a neighbour miss solves cold.
-  const std::string dir = FreshDir("geopriv_durability_v1_basis");
-  fs::create_directories(dir);
-  const MechanismSignature sig = Sig(6, R(1, 2));
+  // Section 2.5 optimum and that LP's basis (basis document v1); one
+  // written before the interaction LP was reduced holds a v2 basis of the
+  // unreduced LP.  The entry is still alpha-DP with the optimal loss, so
+  // it loads and serves hits; the basis fits a different LP, so it is
+  // dropped -- neither used as a seed nor quarantined -- and a neighbour
+  // miss solves cold.
   auto old = SolveOptimalMechanismExact(6, R(1, 2),
                                         ExactLossFunction::AbsoluteError(),
                                         SideInformation::All(6));
   ASSERT_TRUE(old.ok());
   ASSERT_FALSE(old->basis.empty());
-  char stem[24];
-  std::snprintf(stem, sizeof(stem), "%016llx",
-                static_cast<unsigned long long>(
-                    SignatureHash(sig.CanonicalKey())));
-  {
-    std::ofstream entry(dir + "/" + stem + ".entry");
-    entry << "geopriv-service-entry v1\nkey " << sig.CanonicalKey()
-          << "\nmode exact\nn 6\nlo 0\nhi 6\nloss absolute\nalpha 1/2\n"
-          << SerializeExactMechanismV3(old->matrix);
-    std::string basis =
-        SerializeBasisDoc(sig.CanonicalKey(), old->basis.basic_columns);
-    basis.replace(0, 16, "geopriv-basis v1");
-    std::ofstream(dir + "/" + stem + ".basis") << basis;
-    const std::string body = std::string("entry ") + stem + "\n";
-    std::ofstream(dir + "/manifest")
-        << "geopriv-manifest v1\nchecksum " << Fnv1a64Hex(body) << "\n"
-        << body;
-  }
-
-  MechanismCache cache(PersistOptions(dir));
-  auto report = cache.LoadFromDirectory(dir);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->loaded, 1);
-  EXPECT_EQ(report->quarantined, 0);
-  EXPECT_EQ(report->basis_reloads, 0);
-  EXPECT_EQ(report->debris_removed, 1);
-  EXPECT_FALSE(fs::exists(dir + "/" + stem + ".basis"));
-  EXPECT_FALSE(fs::exists(dir + "/quarantine"));
-
-  bool hit = false;
-  auto entry = cache.GetOrSolve(sig, &hit);
-  ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-  EXPECT_TRUE(hit);
-  EXPECT_TRUE((*entry)->exact == old->matrix);
-  EXPECT_TRUE((*entry)->loss == old->loss);
-  EXPECT_TRUE((*entry)->basis.empty());
-
-  auto neighbor = cache.GetOrSolve(Sig(6, R(2, 5)));
-  ASSERT_TRUE(neighbor.ok()) << neighbor.status().ToString();
-  EXPECT_FALSE((*neighbor)->warm_started);
   auto optimum = SolveOptimalMechanismExact(6, R(2, 5),
                                             ExactLossFunction::AbsoluteError(),
                                             SideInformation::All(6));
   ASSERT_TRUE(optimum.ok());
-  EXPECT_TRUE((*neighbor)->loss == optimum->loss);
-  // The new entry's basis is persisted as v2, and seeds after a restart.
-  MechanismCache restarted(PersistOptions(dir));
-  auto reloaded = restarted.LoadFromDirectory(dir);
-  ASSERT_TRUE(reloaded.ok());
-  EXPECT_EQ(reloaded->loaded, 2);
-  EXPECT_EQ(reloaded->basis_reloads, 1);
-  EXPECT_EQ(reloaded->quarantined, 0);
-  fs::remove_all(dir);
+  const MechanismSignature sig = Sig(6, R(1, 2));
+  char stem[24];
+  std::snprintf(stem, sizeof(stem), "%016llx",
+                static_cast<unsigned long long>(
+                    SignatureHash(sig.CanonicalKey())));
+  for (const char* header : {"geopriv-basis v1", "geopriv-basis v2"}) {
+    SCOPED_TRACE(header);
+    const std::string dir = FreshDir("geopriv_durability_stale_basis");
+    fs::create_directories(dir);
+    {
+      std::ofstream entry(dir + "/" + stem + ".entry");
+      entry << "geopriv-service-entry v1\nkey " << sig.CanonicalKey()
+            << "\nmode exact\nn 6\nlo 0\nhi 6\nloss absolute\nalpha 1/2\n"
+            << SerializeExactMechanismV3(old->matrix);
+      std::string basis =
+          SerializeBasisDoc(sig.CanonicalKey(), old->basis.basic_columns);
+      basis.replace(0, 16, header);
+      std::ofstream(dir + "/" + stem + ".basis") << basis;
+      const std::string body = std::string("entry ") + stem + "\n";
+      std::ofstream(dir + "/manifest")
+          << "geopriv-manifest v1\nchecksum " << Fnv1a64Hex(body) << "\n"
+          << body;
+    }
+
+    MechanismCache cache(PersistOptions(dir));
+    auto report = cache.LoadFromDirectory(dir);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->loaded, 1);
+    EXPECT_EQ(report->quarantined, 0);
+    EXPECT_EQ(report->basis_reloads, 0);
+    EXPECT_EQ(report->debris_removed, 1);
+    EXPECT_FALSE(fs::exists(dir + "/" + stem + ".basis"));
+    EXPECT_FALSE(fs::exists(dir + "/quarantine"));
+
+    bool hit = false;
+    auto entry = cache.GetOrSolve(sig, &hit);
+    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
+    EXPECT_TRUE(hit);
+    EXPECT_TRUE((*entry)->exact == old->matrix);
+    EXPECT_TRUE((*entry)->loss == old->loss);
+    EXPECT_TRUE((*entry)->basis.empty());
+
+    auto neighbor = cache.GetOrSolve(Sig(6, R(2, 5)));
+    ASSERT_TRUE(neighbor.ok()) << neighbor.status().ToString();
+    EXPECT_FALSE((*neighbor)->warm_started);
+    EXPECT_TRUE((*neighbor)->loss == optimum->loss);
+    // The new entry's basis is persisted as v3, and seeds after a restart.
+    MechanismCache restarted(PersistOptions(dir));
+    auto reloaded = restarted.LoadFromDirectory(dir);
+    ASSERT_TRUE(reloaded.ok());
+    EXPECT_EQ(reloaded->loaded, 2);
+    EXPECT_EQ(reloaded->basis_reloads, 1);
+    EXPECT_EQ(reloaded->quarantined, 0);
+    fs::remove_all(dir);
+  }
 }
 
 TEST(DurabilityTest, RestartNeverResurrectsAnEvictedEntry) {

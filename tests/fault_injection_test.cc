@@ -636,9 +636,9 @@ TEST_F(FaultInjectionTest, ColdSolveDeadlineTimesOutWhileCacheServesHits) {
   // A deadline-bounded query against a cold n=40 exact solve must come
   // back DeadlineExceeded within 2x the deadline, while a concurrent
   // cached query is served normally.  Unbounded, that interaction-LP solve
-  // takes ~11 s with two threads on a 4-core x86 host, over 7x the
-  // deadline (n=32 took ~3.4 s, too close to it).  The protocol caps exact
-  // mode at n=32; the cache API has no cap.
+  // takes ~11 s with two threads on a 4-core x86 host (~20 s on one),
+  // over 7x the deadline (n=32 takes ~3.6 s, too close to it).  The
+  // protocol caps exact mode at n=32; the cache API has no cap.
   CacheOptions options;
   options.threads = 2;
   MechanismCache cache(options);

@@ -196,7 +196,7 @@ TEST(IoTest, BasisDocRoundTrips) {
   const std::string key = "mode=exact;n=4;side=0..4;loss=absolute;alpha=1/2";
   const std::vector<size_t> columns = {0, 3, 7, 12, 13};
   const std::string doc = SerializeBasisDoc(key, columns);
-  EXPECT_EQ(doc.compare(0, 16, "geopriv-basis v2"), 0);
+  EXPECT_EQ(doc.compare(0, 16, "geopriv-basis v3"), 0);
   std::string key_out;
   auto back = ParseBasisDoc(doc, &key_out);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -221,7 +221,7 @@ TEST(IoTest, BasisDocRejectsCorruptionAndMalformedShapes) {
   // Hand-built documents with a correct checksum but a bad body: the
   // column list must be strictly increasing and complete.
   const auto with_checksum = [](const std::string& body) {
-    return "geopriv-basis v2\nchecksum " + Fnv1a64Hex(body) + "\n" + body;
+    return "geopriv-basis v3\nchecksum " + Fnv1a64Hex(body) + "\n" + body;
   };
   EXPECT_FALSE(ParseBasisDoc(with_checksum("key k\ncolumns 3 1 2\n"),
                              &key_out).ok());  // count < list... short list
@@ -235,15 +235,19 @@ TEST(IoTest, BasisDocRejectsCorruptionAndMalformedShapes) {
                             &key_out).ok());
   EXPECT_EQ(key_out, "k");
 
-  // An intact v1 document (a Section 2.5 LP basis) is stale, not corrupt:
-  // the loader tells the two apart by the status code.
-  const std::string v1_body = "key k\ncolumns 2 3 5\n";
-  const auto stale = ParseBasisDoc(
-      "geopriv-basis v1\nchecksum " + Fnv1a64Hex(v1_body) + "\n" + v1_body,
-      &key_out);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_TRUE(stale.status().IsFailedPrecondition())
-      << stale.status().ToString();
+  // An intact v1 document (a Section 2.5 LP basis) or v2 document (a basis
+  // of the unreduced interaction LP) is stale, not corrupt: the loader
+  // tells the two apart by the status code.
+  const std::string old_body = "key k\ncolumns 2 3 5\n";
+  for (const char* header : {"geopriv-basis v1", "geopriv-basis v2"}) {
+    const auto stale = ParseBasisDoc(std::string(header) + "\nchecksum " +
+                                         Fnv1a64Hex(old_body) + "\n" +
+                                         old_body,
+                                     &key_out);
+    ASSERT_FALSE(stale.ok()) << header;
+    EXPECT_TRUE(stale.status().IsFailedPrecondition())
+        << header << ": " << stale.status().ToString();
+  }
 }
 
 TEST(IoTest, SaveAndLoadExactFile) {

@@ -143,6 +143,127 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The interaction LP's structural guarantees: every right-hand side is
+// non-negative, so a cold solve starts from the slack basis and never runs
+// phase 1, and the returned T is row-stochastic with no mass outside
+// hull(S).  Grid of theorem1_service_test: n 1..12, S = {0..n} and one
+// interior interval, five alphas, three losses.
+TEST(ExactInteractionTest, ColdSolvesSkipPhase1AndStayOnHullOfS) {
+  const std::vector<Rational> alphas = {R(1, 2), R(1, 3), R(1, 4), R(2, 3),
+                                        R(9, 10)};
+  int checked = 0;
+  for (int n = 1; n <= 12; ++n) {
+    std::vector<std::pair<int, int>> sides = {{0, n}};
+    if (n >= 2) {
+      sides.push_back(n % 2 == 0 ? std::make_pair(1, n - 1)
+                                 : std::make_pair(n / 3, 2 * n / 3));
+    }
+    for (const Rational& alpha : alphas) {
+      auto g = GeometricMechanism::BuildExactMatrix(n, alpha);
+      ASSERT_TRUE(g.ok());
+      for (const auto& [lo, hi] : sides) {
+        auto side = SideInformation::Interval(lo, hi, n);
+        ASSERT_TRUE(side.ok());
+        for (const char* name : {"absolute", "squared", "zero-one"}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " alpha=" +
+                       alpha.ToString() + " S=" + side->ToString() + " " +
+                       name);
+          const ExactLossFunction loss = ExactLossByName(name);
+          auto result = SolveOptimalInteractionExact(*g, loss, *side);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_FALSE(result->warm_started);
+          EXPECT_EQ(result->phase1_iterations, 0);
+          const RationalMatrix& t = result->matrix;
+          EXPECT_TRUE(t.IsRowStochastic());
+          for (size_t r = 0; r < t.rows(); ++r) {
+            for (size_t rp = 0; rp < t.cols(); ++rp) {
+              if (static_cast<int>(rp) < lo || static_cast<int>(rp) > hi) {
+                EXPECT_TRUE(t.At(r, rp).IsZero()) << r << "," << rp;
+              }
+            }
+          }
+          auto induced = ExactWorstCaseLoss(*g * t, loss, *side);
+          ASSERT_TRUE(induced.ok());
+          EXPECT_EQ(*induced, result->loss);
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 345);
+}
+
+TEST(ExactInteractionTest, NonIntervalSideAndAsymmetricLossReachTheOptimum) {
+  // S = {1, 4, 7} leaves gaps inside hull(S); the loss charges overshoot
+  // and undershoot differently and is positive on the diagonal, so
+  // l(i, r0) differs across S.
+  const int n = 8;
+  auto side = SideInformation::FromSet({1, 4, 7}, n);
+  ASSERT_TRUE(side.ok());
+  const ExactLossFunction lopsided = ExactLossFunction::FromFunction(
+      "lopsided", [](int i, int r) {
+        const int64_t d = r - i;
+        return R(1, 3) + (d >= 0 ? R(3 * d) : R(d * d, 2));
+      });
+  ASSERT_TRUE(lopsided.ValidateMonotone(n).ok());
+  for (const Rational& alpha : {R(1, 2), R(2, 3)}) {
+    auto g = GeometricMechanism::BuildExactMatrix(n, alpha);
+    ASSERT_TRUE(g.ok());
+    for (const ExactLossFunction& loss :
+         {lopsided, ExactLossFunction::AbsoluteError(),
+          ExactLossFunction::SquaredError()}) {
+      SCOPED_TRACE(loss.name() + " alpha=" + alpha.ToString());
+      auto interaction = SolveOptimalInteractionExact(*g, loss, *side);
+      ASSERT_TRUE(interaction.ok()) << interaction.status().ToString();
+      EXPECT_EQ(interaction->phase1_iterations, 0);
+      auto optimal = SolveOptimalMechanismExact(n, alpha, loss, *side);
+      ASSERT_TRUE(optimal.ok()) << optimal.status().ToString();
+      EXPECT_EQ(interaction->loss, optimal->loss);
+      auto induced = ExactWorstCaseLoss(*g * interaction->matrix, loss, *side);
+      ASSERT_TRUE(induced.ok());
+      EXPECT_EQ(*induced, optimal->loss);
+    }
+  }
+}
+
+TEST(ExactInteractionTest, SinglePointDatabaseAndTheAlphaOneLimit) {
+  // n = 0: the one output is hull(S), no T column survives, and the loss
+  // is l(0, 0) -- positive here, so the rebuilt loss is d0 itself.
+  const ExactLossFunction shifted = ExactLossFunction::FromFunction(
+      "shifted", [](int i, int r) { return R(std::abs(i - r)) + R(2, 7); });
+  RationalMatrix one(1, 1);
+  one.At(0, 0) = R(1);
+  auto point = SolveOptimalInteractionExact(one, shifted,
+                                            SideInformation::All(0));
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->loss, R(2, 7));
+  EXPECT_EQ(point->matrix.At(0, 0), R(1));
+  EXPECT_EQ(point->phase1_iterations, 0);
+
+  // alpha = 1: every row of the deployed limit matrix puts 1/2 on each end
+  // of {0..n}, and the interaction reaches the best constant mechanism.
+  for (int n : {1, 4, 7}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const size_t size = static_cast<size_t>(n) + 1;
+    RationalMatrix limit(size, size);
+    for (size_t i = 0; i < size; ++i) {
+      limit.At(i, 0) = R(1, 2);
+      limit.At(i, size - 1) = R(1, 2);
+    }
+    for (const ExactLossFunction& loss :
+         {ExactLossFunction::AbsoluteError(), ExactLossFunction::ZeroOne()}) {
+      auto interaction = SolveOptimalInteractionExact(
+          limit, loss, SideInformation::All(n));
+      ASSERT_TRUE(interaction.ok()) << interaction.status().ToString();
+      EXPECT_EQ(interaction->phase1_iterations, 0);
+      auto optimal =
+          SolveOptimalMechanismExact(n, R(1), loss, SideInformation::All(n));
+      ASSERT_TRUE(optimal.ok());
+      EXPECT_EQ(interaction->loss, optimal->loss) << loss.name();
+    }
+  }
+}
+
 TEST(ExactOptimalTest, ExactAndDoubleLpAgree) {
   // Cross-validation: the double pipeline's optimum matches the exact one
   // to solver tolerance.
